@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import bench_scale
-from repro.api import SimConfig, simulate_stream
+from repro.api import SimConfig, SimSpec
 from repro.experiments.rt_sweep import (
     format_rt_experiment,
     rt_workload,
@@ -48,10 +48,10 @@ def _stream(n_jobs: int, seed: int = 0, rate: float = 300.0):
 
 
 def _run(stream, **cfg_kwargs):
-    return simulate_stream(
-        stream, "small-hetero", "multiprio",
+    return SimSpec(
+        "small-hetero", "multiprio",
         isolated_baseline=False, config=SimConfig(**cfg_kwargs),
-    )
+    ).run_stream(stream)
 
 
 def measure_gates(n_jobs: int, repeats: int = 3) -> dict:

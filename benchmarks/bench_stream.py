@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import bench_scale
-from repro.api import SimConfig, SimSpec, simulate_stream
+from repro.api import SimConfig, SimSpec
 from repro.apps.dense import cholesky_program, lu_program
 from repro.experiments.stream_arrivals import (
     format_stream_experiment,
@@ -102,9 +102,9 @@ def measure_stream(n_jobs: int, repeats: int = 3) -> dict:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        res = simulate_stream(
-            stream, "small-hetero", "multiprio", isolated_baseline=False
-        )
+        res = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False
+        ).run_stream(stream)
         best = min(best, time.perf_counter() - t0)
         assert len(res.jobs) == n_jobs
     return {
@@ -267,9 +267,9 @@ def test_stream_throughput(benchmark):
     stream = _stream(n_jobs)
 
     def run():
-        res = simulate_stream(
-            stream, "small-hetero", "multiprio", isolated_baseline=False
-        )
+        res = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False
+        ).run_stream(stream)
         return len(res.jobs)
 
     assert benchmark(run) == n_jobs

@@ -3,18 +3,19 @@ Priorities on Heterogeneous Computing Systems* (MultiPrio, IPPS 2024).
 
 Public API quick tour::
 
-    from repro import simulate
+    from repro import SimSpec
     from repro.platform import small_hetero
     from repro.apps.dense import cholesky_program
 
     machine = small_hetero(n_cpus=6, n_gpus=1)
     program = cholesky_program(n_tiles=10, tile_size=512)
-    result = simulate(program, machine, "multiprio")
+    result = SimSpec(machine, "multiprio").run(program)
     print(result.makespan, result.gflops)
 
-:func:`simulate` is the one-call facade; the underlying pieces
-(:class:`Simulator`, :class:`MultiPrio`, the perf models, the
-scheduler registry) remain public for fine-grained control.
+:class:`SimSpec` is the one facade (task graphs, job streams and
+clusters); the underlying pieces (:class:`Simulator`,
+:class:`MultiPrio`, the perf models, the scheduler registry) remain
+public for fine-grained control.
 
 Subpackages:
 
@@ -24,7 +25,7 @@ Subpackages:
 * :mod:`repro.apps` — dense LA / FMM / sparse-QR task-graph generators;
 * :mod:`repro.platform` — the Intel-V100 and AMD-A100 machine models;
 * :mod:`repro.workload` — online multi-tenant job streams
-  (:func:`simulate_stream` is their facade);
+  (:meth:`SimSpec.run_stream` runs them);
 * :mod:`repro.control` — the overload control plane: per-tenant
   quotas, admission (accept / delay / shed), priority-class eviction;
 * :mod:`repro.cluster` — multi-node platforms and the two-level
@@ -55,7 +56,7 @@ from repro.runtime import (
 )
 from repro.schedulers import MultiPrio
 from repro.schedulers import make_scheduler, scheduler_names, register_scheduler
-from repro.api import SimConfig, SimSpec, simulate, simulate_stream
+from repro.api import SimConfig, SimSpec
 from repro.workload import (
     QOS_CLASSES,
     Job,
@@ -109,8 +110,6 @@ __all__ = [
     "make_scheduler",
     "scheduler_names",
     "register_scheduler",
-    "simulate",
-    "simulate_stream",
     "SimConfig",
     "SimSpec",
     "Job",

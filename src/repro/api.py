@@ -21,19 +21,14 @@ The same spec drives the online path (and the cluster tier via
                                           rate_jobs_per_s=20.0, n_jobs=8))
     print(sres.mean_latency_us, sres.fairness)
 
-The historical entry points — :func:`simulate`, :func:`simulate_stream`
-and :func:`repro.cluster.simulate_cluster` — remain as thin wrappers
-over ``SimSpec`` and produce bit-identical results; passing engine
-options to them as loose keywords is deprecated (build a ``SimSpec``
-instead). :class:`SimConfig` is the per-run knob bundle ``SimSpec``
-embeds; it stays fully supported.
+:class:`SimConfig` is the per-run knob bundle ``SimSpec`` embeds;
+:func:`repro.cluster.simulate_cluster` takes one as ``config=``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 from repro.obs.events import RecordLevel
 from repro.platform.machines import MACHINES, MachineModel
@@ -56,10 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.perfmodel import PerfModel
     from repro.workload.results import StreamResult
     from repro.workload.stream import JobStream
-
-#: Sentinel distinguishing "keyword not passed" from an explicit default
-#: in the deprecated loose-keyword wrappers.
-_UNSET: Any = object()
 
 #: Coarse draw charged to architectures the power model does not cover
 #: when attributing per-job energy (an explicit opt-in — the model
@@ -204,31 +195,21 @@ class SimSpec:
     sched_params: "dict | None" = None
 
     def __post_init__(self) -> None:
+        # Every SimConfig field has a same-named convenience override.
+        names = [f.name for f in fields(SimConfig)]
         overrides = {
             name: value
-            for name in (
-                "seed", "noise_sigma", "perfmodel", "faults", "record_trace",
-                "record_level", "pipeline", "submission_window",
-                "check_invariants", "batch_step", "batch_drain_on_idle",
-                "overhead", "resources", "power",
-            )
+            for name in names
             if (value := getattr(self, name)) is not None
         }
-        if self.sched_params is not None:
-            overrides["sched_params"] = dict(self.sched_params)
+        if "sched_params" in overrides:
+            overrides["sched_params"] = dict(overrides["sched_params"])
         if overrides:
-            from dataclasses import replace
-
             self.config = replace(self.config, **overrides)
         # The conveniences have been folded in; mirror the config back so
         # `spec.seed` etc. always read the effective values.
-        for f in (
-            "seed", "noise_sigma", "perfmodel", "faults", "record_trace",
-            "record_level", "pipeline", "submission_window",
-            "check_invariants", "batch_step", "batch_drain_on_idle",
-            "overhead", "resources", "power", "sched_params",
-        ):
-            setattr(self, f, getattr(self.config, f))
+        for name in names:
+            setattr(self, name, getattr(self.config, name))
 
     # -- internals -------------------------------------------------------
 
@@ -390,108 +371,3 @@ class SimSpec:
             isolated_baseline=self.isolated_baseline,
             **cluster_options,
         )
-
-
-def _legacy_config(
-    where: str, config: SimConfig | None, passed: dict
-) -> SimConfig:
-    """Fold deprecated loose keywords into a :class:`SimConfig`."""
-    explicit = {k: v for k, v in passed.items() if v is not _UNSET}
-    if explicit:
-        warnings.warn(
-            f"passing engine options to {where} as loose keywords "
-            f"({', '.join(sorted(explicit))}) is deprecated; build a "
-            "SimSpec (or a SimConfig) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if config is not None:
-        return config  # the config bundle takes precedence, as documented
-    if "sched_params" in explicit:
-        explicit["sched_params"] = dict(explicit["sched_params"] or {})
-    return SimConfig(**explicit)
-
-
-def simulate(
-    program: Program,
-    machine: MachineModel | str,
-    scheduler: Scheduler | str = "multiprio",
-    *,
-    config: SimConfig | None = None,
-    seed: int = _UNSET,
-    noise_sigma: float = _UNSET,
-    perfmodel: "PerfModel | None" = _UNSET,
-    faults: FaultModel | None = _UNSET,
-    record_trace: bool = _UNSET,
-    record_level: RecordLevel | str | int = _UNSET,
-    pipeline: bool = _UNSET,
-    submission_window: int | None = _UNSET,
-    check_invariants: bool | None = _UNSET,
-    batch_step: float | None = _UNSET,
-    batch_drain_on_idle: bool = _UNSET,
-    sched_params: dict | None = _UNSET,
-) -> SimResult:
-    """Simulate ``program`` on ``machine`` under ``scheduler``.
-
-    A thin wrapper over ``SimSpec(machine, scheduler, config).run(program)``
-    — bit-identical to it. Passing the engine options as loose keywords
-    is **deprecated**; bundle them in a :class:`SimSpec` or
-    :class:`SimConfig` instead. ``simulate(program, machine, scheduler)``
-    and the ``config=`` form stay warning-free.
-
-    Returns the engine's :class:`~repro.runtime.engine.SimResult`.
-    """
-    cfg = _legacy_config("simulate()", config, dict(
-        seed=seed, noise_sigma=noise_sigma, perfmodel=perfmodel,
-        faults=faults, record_trace=record_trace, record_level=record_level,
-        pipeline=pipeline, submission_window=submission_window,
-        check_invariants=check_invariants, batch_step=batch_step,
-        batch_drain_on_idle=batch_drain_on_idle, sched_params=sched_params,
-    ))
-    return SimSpec(machine, scheduler, config=cfg).run(program)
-
-
-def simulate_stream(
-    stream: "JobStream",
-    machine: MachineModel | str,
-    scheduler: Scheduler | str = "multiprio",
-    *,
-    config: SimConfig | None = None,
-    isolated_baseline: bool = True,
-    control: "ControlConfig | None" = None,
-    seed: int = _UNSET,
-    noise_sigma: float = _UNSET,
-    perfmodel: "PerfModel | None" = _UNSET,
-    faults: FaultModel | None = _UNSET,
-    record_trace: bool = _UNSET,
-    record_level: RecordLevel | str | int = _UNSET,
-    pipeline: bool = _UNSET,
-    submission_window: int | None = _UNSET,
-    check_invariants: bool | None = _UNSET,
-    batch_step: float | None = _UNSET,
-    batch_drain_on_idle: bool = _UNSET,
-    sched_params: dict | None = _UNSET,
-) -> "StreamResult":
-    """Simulate an online job stream on ``machine`` under ``scheduler``.
-
-    A thin wrapper over :meth:`SimSpec.run_stream` — bit-identical to
-    it. Passing engine options as loose keywords is **deprecated**
-    (build a :class:`SimSpec`); ``config=``, ``isolated_baseline=`` and
-    ``control=`` stay warning-free.
-
-    Returns a :class:`~repro.workload.results.StreamResult`.
-    """
-    cfg = _legacy_config("simulate_stream()", config, dict(
-        seed=seed, noise_sigma=noise_sigma, perfmodel=perfmodel,
-        faults=faults, record_trace=record_trace, record_level=record_level,
-        pipeline=pipeline, submission_window=submission_window,
-        check_invariants=check_invariants, batch_step=batch_step,
-        batch_drain_on_idle=batch_drain_on_idle, sched_params=sched_params,
-    ))
-    return SimSpec(
-        machine,
-        scheduler,
-        config=cfg,
-        control=control,
-        isolated_baseline=isolated_baseline,
-    ).run_stream(stream)

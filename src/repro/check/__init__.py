@@ -26,7 +26,7 @@ __all__ = ["InvariantChecker", "check_cluster", "run_differential_suite"]
 
 
 def __getattr__(name: str) -> Any:
-    # Lazy re-exports: differential imports the simulate() facade, which
+    # Lazy re-exports: differential imports the SimSpec facade, which
     # imports the engine — eager imports here would create a cycle with
     # the engine's own (deferred) import of InvariantChecker.
     if name == "InvariantChecker":

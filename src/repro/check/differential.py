@@ -25,7 +25,7 @@ properties a correct simulator cannot violate regardless of policy:
 * **Control-plane no-op equivalence** — a control plane with infinite
   credits, no global budget and eviction off
   (:meth:`~repro.control.ControlConfig.unlimited`) admits everything
-  and must reproduce the uncontrolled ``simulate_stream`` run
+  and must reproduce the uncontrolled ``SimSpec.run_stream`` run
   bit-for-bit (the admission gate may not perturb reveal order, events
   or accounting).
 * **Real-time no-op equivalence** — an all-zero
@@ -577,7 +577,7 @@ def check_cluster_single_node_equivalence(
     machine: MachineModel,
     schedulers: Iterable[str],
 ) -> list[CheckOutcome]:
-    """A single-node cluster must be :func:`simulate_stream`, bit for bit.
+    """A single-node cluster must be :meth:`SimSpec.run_stream`, bit for bit.
 
     The cluster tier degenerates when there is one node: placement has
     one choice, no ``after`` edge can cross nodes, and the node's
@@ -588,7 +588,6 @@ def check_cluster_single_node_equivalence(
     path perturbed the engine configuration or the merged program.
     """
     from repro.api import SimConfig, SimSpec
-    from repro.cluster.sim import simulate_cluster
     from repro.cluster.spec import star_cluster
     from repro.workload.stream import poisson_stream
 
@@ -609,8 +608,8 @@ def check_cluster_single_node_equivalence(
             (r.tid, r.worker, r.start, r.end)
             for r in plain.sim.trace.task_records
         ))
-        clustered = simulate_cluster(
-            stream, star_cluster(1, machine), scheduler
+        clustered = SimSpec(machine, scheduler).run_cluster(
+            stream, star_cluster(1, machine)
         )
         node_sim = clustered.node_sims["node0"]
         cluster_records = clustered._task_records["node0"]  # type: ignore[attr-defined]
@@ -618,7 +617,7 @@ def check_cluster_single_node_equivalence(
             f"cluster.single_node[{scheduler}]",
             (plain_records, plain.sim.makespan, plain.sim.bytes_transferred)
             == (cluster_records, node_sim.makespan, node_sim.bytes_transferred),
-            "a 1-node cluster diverged from simulate_stream at task level",
+            "a 1-node cluster diverged from run_stream at task level",
         ))
         plain_jobs = [
             (j.jid, j.start_us, j.end_us, j.isolated_us) for j in plain.jobs
@@ -630,7 +629,7 @@ def check_cluster_single_node_equivalence(
             f"cluster.single_node_jobs[{scheduler}]",
             plain_jobs == cluster_jobs,
             "a 1-node cluster reported different per-job results than "
-            "simulate_stream",
+            "run_stream",
         ))
     return out
 

@@ -16,7 +16,7 @@ on a multi-node :class:`~repro.cluster.topology.Cluster`:
    ``after`` dependencies.
 3. **Per-node execution** — each node independently runs its sub-stream
    through an unmodified engine + scheduler (MultiPrio by default),
-   exactly as :func:`~repro.api.simulate_stream` would. Node runs are
+   exactly as :meth:`~repro.api.SimSpec.run_stream` would. Node runs are
    independent simulations, so ``jobs=N`` shards them across processes
    via :func:`repro.sweep.run_tasks` — hundreds-of-node clusters
    simulate in parallel, bit-identical to the serial order.
@@ -32,7 +32,7 @@ on a multi-node :class:`~repro.cluster.topology.Cluster`:
    Streams without cross-node chains finish in one round.
 
 A single-node cluster degenerates to exactly
-:func:`~repro.api.simulate_stream`: same merged program, same engine
+:meth:`~repro.api.SimSpec.run_stream`: same merged program, same engine
 configuration, bit-identical schedule — the equivalence the
 ``repro check`` differential suite enforces.
 """
@@ -43,7 +43,7 @@ import math
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
-from repro.api import SimConfig, _UNSET, _build_simulator, _legacy_config
+from repro.api import SimConfig, _build_simulator
 from repro.cluster.result import (
     ClusterJobResult,
     ClusterResult,
@@ -58,7 +58,7 @@ from repro.cluster.placement import (
     PlacementPolicy,
     make_placement,
 )
-from repro.obs.events import JobRejected, RecordLevel
+from repro.obs.events import JobRejected
 from repro.platform.machines import MachineModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import Program
@@ -186,13 +186,6 @@ def simulate_cluster(
     isolated_baseline: bool = True,
     jobs: int = 1,
     max_rounds: int = 16,
-    seed: int = _UNSET,
-    noise_sigma: float = _UNSET,
-    record_level: RecordLevel | str | int = _UNSET,
-    pipeline: bool = _UNSET,
-    submission_window: int | None = _UNSET,
-    check_invariants: bool | None = _UNSET,
-    sched_params: dict | None = _UNSET,
     progress: Callable[[int, int], None] | None = None,
 ) -> ClusterResult:
     """Simulate ``stream`` on a multi-node cluster.
@@ -228,13 +221,14 @@ def simulate_cluster(
         chains can need a few more rounds than their depth; the
         default absorbs typical ripples and ``converged`` records
         whether the run settled within the cap.
-    isolated_baseline / seed / noise_sigma / record_level / pipeline /
-    submission_window / check_invariants / sched_params:
-        As in :func:`~repro.api.simulate_stream`, applied per node.
-        ``config`` (when given) takes precedence, but may not carry a
-        ``perfmodel``, ``faults`` or ``record_trace`` — per-node models
-        are built from each node's own calibration, and fault injection
-        at the cluster tier is not supported yet.
+    config:
+        The per-node engine options (:class:`~repro.api.SimConfig`;
+        default ``SimConfig()``). It may not carry a ``perfmodel``,
+        ``faults`` or ``record_trace`` — per-node models are built from
+        each node's own calibration, and fault injection at the cluster
+        tier is not supported yet.
+    isolated_baseline:
+        As in :meth:`~repro.api.SimSpec.run_stream`.
 
     Returns a :class:`~repro.cluster.result.ClusterResult`.
     """
@@ -244,15 +238,7 @@ def simulate_cluster(
             "simulate_cluster needs the scheduler by registry name (each "
             f"node instantiates its own); got {type(scheduler).__name__}"
         )
-    cfg = _legacy_config("simulate_cluster()", config, dict(
-        seed=seed,
-        noise_sigma=noise_sigma,
-        record_level=record_level,
-        pipeline=pipeline,
-        submission_window=submission_window,
-        check_invariants=check_invariants,
-        sched_params=sched_params,
-    ))
+    cfg = config if config is not None else SimConfig()
     if cfg.perfmodel is not None:
         raise ValidationError(
             "simulate_cluster builds one perf model per node from its own "

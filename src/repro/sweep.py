@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.api import simulate
+from repro.api import SimConfig, SimSpec
 from repro.experiments.harness import ExperimentResult
 from repro.platform.machines import MachineModel
 from repro.utils.validation import ReproError, RetryExhaustedError
@@ -217,16 +217,13 @@ class SweepCell:
 def _run_cell(cell: SweepCell, experiment: str) -> ExperimentResult:
     """Simulate one sweep cell (in whichever process executes it)."""
     program = cell.program.build()
-    res = simulate(
-        program,
-        cell.machine,
-        cell.scheduler,
+    res = SimSpec(cell.machine, cell.scheduler, config=SimConfig(
         seed=cell.seed,
         noise_sigma=cell.noise_sigma,
         perfmodel=cell.perfmodel.build() if cell.perfmodel is not None else None,
         faults=cell.faults.build() if cell.faults is not None else None,
-        sched_params=cell.sched_params,
-    )
+        sched_params=dict(cell.sched_params),
+    )).run(program)
     extra = dict(cell.extra)
     if res.faults is not None:
         for key, value in res.faults.as_dict().items():

@@ -4,7 +4,7 @@ The workload layer turns the repo's static single-DAG simulations into
 an online, multi-tenant scenario: jobs (whole programs) arrive over
 virtual time, get merged into one composite program with per-task
 release times, and run under any registered scheduler unmodified. See
-:func:`repro.api.simulate_stream` for the one-call entry point.
+:meth:`repro.api.SimSpec.run_stream` for the one-call entry point.
 """
 
 from repro.workload.merge import JobSpan, StreamProgram, merge_stream

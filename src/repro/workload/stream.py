@@ -6,7 +6,7 @@ with an arrival time (µs of virtual clock) and a tenant label; a
 multi-tenant counterpart of the repo's single static DAGs. Streams are
 plain descriptions: :func:`repro.workload.merge.merge_stream` compiles
 one into a composite program the unmodified engine executes, and
-:func:`repro.api.simulate_stream` wraps the whole pipeline.
+:meth:`repro.api.SimSpec.run_stream` wraps the whole pipeline.
 
 Three generators cover the usual arrival regimes:
 

@@ -3,7 +3,7 @@ global admission and the checker family."""
 
 import pytest
 
-from repro.api import simulate_stream
+from repro.api import SimSpec
 from repro.apps.dense import cholesky_program, lu_program
 from repro.check.cluster import check_cluster
 from repro.cluster import (
@@ -50,7 +50,8 @@ def _fingerprint(res):
 class TestBasics:
     def test_all_jobs_complete_with_placements(self):
         stream = _stream()
-        res = simulate_cluster(stream, star_cluster(4), check_invariants=True)
+        spec = SimSpec(check_invariants=True)
+        res = spec.run_cluster(stream, star_cluster(4))
         assert len(res.jobs) == len(stream.jobs)
         assert set(res.placements) == {j.jid for j in stream.jobs}
         for job in res.jobs:
@@ -114,7 +115,7 @@ class TestDeterminism:
     def test_single_node_cluster_matches_simulate_stream(self):
         stream = _stream(6)
         clustered = simulate_cluster(stream, star_cluster(1))
-        plain = simulate_stream(stream, "small-hetero", "multiprio")
+        plain = SimSpec("small-hetero", "multiprio").run_stream(stream)
         assert clustered.makespan_us == plain.makespan_us
         assert [
             (j.jid, j.start_us, j.end_us, j.isolated_us)
@@ -126,9 +127,8 @@ class TestDeterminism:
 
 class TestCrossNodeDependencies:
     def test_chain_scattered_across_nodes_charges_the_fabric(self):
-        res = simulate_cluster(
+        res = SimSpec(check_invariants=True).run_cluster(
             _chain_stream(4), star_cluster(3), placement="round-robin",
-            check_invariants=True,
         )
         assert res.converged
         assert len(res.transfers) == 3  # every hop of the chain crossed
@@ -171,10 +171,8 @@ class TestGlobalAdmission:
             )
             for i in range(3)
         )
-        res = simulate_cluster(
-            JobStream(name="mixed", jobs=jobs), star_cluster(2),
-            control=control, check_invariants=True,
-        )
+        spec = SimSpec(control=control, check_invariants=True)
+        res = spec.run_cluster(JobStream(name="mixed", jobs=jobs), star_cluster(2))
         assert [j.jid for j in res.jobs] == [0]
         assert {jid for jid, _, _ in res.rejected} == {1, 2}
 

@@ -1,10 +1,11 @@
-"""SimSpec facade: wrapper equivalence, deprecation, stream determinism."""
+"""SimSpec facade: keyword/config equivalence, warning-free calls,
+stream determinism."""
 
 import warnings
 
 import pytest
 
-from repro.api import SimConfig, SimSpec, simulate, simulate_stream
+from repro.api import SimConfig, SimSpec
 from repro.apps.dense import cholesky_program
 from repro.check.differential import fingerprint
 from repro.schedulers import scheduler_names
@@ -28,74 +29,28 @@ def stream_signature(sres):
 
 
 class TestWrapperEquivalence:
-    def test_simulate_equals_simspec_bit_identically(self):
-        program = cholesky_program(5, 384)
-        spec = SimSpec(
-            "small-hetero", "multiprio",
-            config=SimConfig(seed=3, noise_sigma=0.1, record_trace=True),
-        )
-        via_spec = spec.run(program)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_wrapper = simulate(
-                program, "small-hetero", "multiprio",
-                seed=3, noise_sigma=0.1, record_trace=True,
-            )
-        assert fingerprint(via_spec) == fingerprint(via_wrapper)
-
-    def test_simulate_stream_equals_simspec_bit_identically(self):
-        spec = SimSpec(
-            "small-hetero", "dmdas",
-            config=SimConfig(record_trace=True),
-            isolated_baseline=False,
-        )
-        via_spec = spec.run_stream(small_stream())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_wrapper = simulate_stream(
-                small_stream(), "small-hetero", "dmdas",
-                record_trace=True, isolated_baseline=False,
-            )
-        assert fingerprint(via_spec.sim) == fingerprint(via_wrapper.sim)
-        assert stream_signature(via_spec) == stream_signature(via_wrapper)
-
     def test_config_form_equals_loose_keywords(self):
         program = cholesky_program(4, 384)
         cfg = SimConfig(seed=7, record_trace=True)
-        by_config = simulate(program, "small-hetero", "eager", config=cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            by_kw = simulate(
-                program, "small-hetero", "eager", seed=7, record_trace=True
-            )
+        by_config = SimSpec("small-hetero", "eager", config=cfg).run(program)
+        by_kw = SimSpec(
+            "small-hetero", "eager", seed=7, record_trace=True
+        ).run(program)
         assert fingerprint(by_config) == fingerprint(by_kw)
 
 
 class TestDeprecation:
-    def test_loose_keywords_warn(self):
-        program = cholesky_program(4, 384)
-        with pytest.warns(DeprecationWarning, match="SimSpec"):
-            simulate(program, "small-hetero", "eager", seed=1)
-
-    def test_stream_loose_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="SimSpec"):
-            simulate_stream(
-                small_stream(), "small-hetero", "eager",
-                isolated_baseline=False, submission_window=64,
-            )
-
     def test_bare_positional_call_is_warning_free(self):
         program = cholesky_program(4, 384)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            simulate(program, "small-hetero", "eager")
+            SimSpec("small-hetero", "eager").run(program)
 
     def test_config_call_is_warning_free(self):
         program = cholesky_program(4, 384)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            simulate(program, "small-hetero", "eager",
-                     config=SimConfig(seed=2))
+            SimSpec("small-hetero", "eager", config=SimConfig(seed=2)).run(program)
 
 
 class TestSpecSemantics:
