@@ -30,7 +30,7 @@ from pathlib import Path
 from benchmarks.conftest import bench_scale
 from repro.api import SimConfig, SimSpec
 from repro.apps.fmm import fmm_program
-from repro.experiments.energy_pareto import energy_workload
+from repro.experiments.overload import overload_workload
 from repro.experiments.reporting import format_table
 from repro.extensions.energy import EnergyAwareMultiPrio, energy_of_result
 from repro.platform.machines import intel_v100
@@ -41,8 +41,9 @@ from repro.schedulers.multiprio import MultiPrio
 
 
 def _stream(n_jobs: int, seed: int = 0, rate: float = 300.0):
-    return energy_workload(
+    return overload_workload(
         rate_jobs_per_s=rate, n_tenants=4, n_jobs=n_jobs, seed=seed,
+        qos=None, name="energy",
     )
 
 

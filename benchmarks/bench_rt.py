@@ -24,11 +24,8 @@ from pathlib import Path
 
 from benchmarks.conftest import bench_scale
 from repro.api import SimConfig, SimSpec
-from repro.experiments.rt_sweep import (
-    format_rt_experiment,
-    rt_workload,
-    run_rt_experiment,
-)
+from repro.experiments.overload import overload_workload
+from repro.experiments.rt_sweep import format_rt_experiment, run_rt_experiment
 from repro.runtime.overhead import SchedOverheadModel
 from repro.runtime.resources import ResourceProtocol
 
@@ -41,9 +38,9 @@ CHARGED = SchedOverheadModel(push_us=50.0, pop_us=25.0, flush_us=100.0,
 
 
 def _stream(n_jobs: int, seed: int = 0, rate: float = 300.0):
-    return rt_workload(
-        rate_jobs_per_s=rate, n_tenants=4, n_jobs=n_jobs,
-        deadline_us=10_000.0, seed=seed,
+    return overload_workload(
+        rate_jobs_per_s=rate, n_tenants=4, n_jobs=n_jobs, seed=seed,
+        qos=None, deadline=10_000.0, name="rt",
     )
 
 

@@ -10,18 +10,11 @@ parameters with defaults chosen so the full suite runs on a laptop, and
 the module docstrings state the paper-scale values.
 """
 
-from repro.experiments.harness import (
-    ExperimentResult,
-    run_grid,
-    run_one,
-    speedup_table,
-)
+from repro.experiments.harness import ExperimentResult, speedup_table
 from repro.experiments.reporting import format_table, format_series
 
 __all__ = [
     "ExperimentResult",
-    "run_grid",
-    "run_one",
     "speedup_table",
     "format_table",
     "format_series",

@@ -20,9 +20,8 @@ to a serial run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -113,6 +112,7 @@ class ClusterRow:
 class ClusterExperimentResult:
     """All rows of the placement × cluster-size sweep."""
 
+    experiment: ClassVar[str] = "cluster"
     machine: str
     scheduler: str
     topology: str
@@ -226,6 +226,10 @@ def run_cluster_experiment(
     )
 
 
+#: Keyword overrides for the CLI's ``--quick`` (the CI smoke grid).
+run_cluster_experiment.quick = {"node_counts": (8,)}
+
+
 def format_cluster_experiment(result: ClusterExperimentResult) -> str:
     """The sweep as an aligned text table."""
     rows = [
@@ -255,45 +259,3 @@ def format_cluster_experiment(result: ClusterExperimentResult) -> str:
             f"at {result.rate_per_node:g}/s/node, seed {result.seed})"
         ),
     )
-
-
-def cluster_report(result: ClusterExperimentResult) -> dict[str, Any]:
-    """JSON-ready report with per-node and per-job stats per cell."""
-    return {
-        "experiment": "cluster",
-        "machine": result.machine,
-        "scheduler": result.scheduler,
-        "topology": result.topology,
-        "chain_len": result.chain_len,
-        "rate_per_node": result.rate_per_node,
-        "seed": result.seed,
-        "rows": [
-            {
-                "policy": row.policy,
-                "n_nodes": row.n_nodes,
-                "n_jobs": row.n_jobs,
-                "makespan_us": row.makespan_us,
-                "throughput_jobs_per_s": row.throughput_jobs_per_s,
-                "mean_utilization": row.mean_utilization,
-                "imbalance": row.imbalance,
-                "mean_latency_us": row.mean_latency_us,
-                "p95_latency_us": row.p95_latency_us,
-                "mean_slowdown": row.mean_slowdown,
-                "max_slowdown": row.max_slowdown,
-                "n_cross_transfers": row.n_cross_transfers,
-                "inter_node_mb": row.inter_node_mb,
-                "rounds": row.rounds,
-                "converged": row.converged,
-                "nodes": row.nodes,
-                "jobs": row.jobs,
-            }
-            for row in result.rows
-        ],
-    }
-
-
-def write_cluster_report(result: ClusterExperimentResult, path: str) -> None:
-    """Serialize :func:`cluster_report` to ``path``."""
-    with open(path, "w") as fh:
-        json.dump(cluster_report(result), fh, indent=2)
-        fh.write("\n")

@@ -30,21 +30,19 @@ grows as the cap tightens. Cells are dispatched through
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from repro.api import SimConfig, SimSpec
-from repro.apps.dense import cholesky_program
 from repro.experiments.overload import (
     estimate_job_cost_us,
+    overload_workload,
     sustainable_rate_jobs_per_s,
 )
 from repro.experiments.reporting import format_table
 from repro.platform.machines import MACHINES
 from repro.runtime.power import PowerStateModel
 from repro.sweep import CallSpec, run_tasks
-from repro.workload.stream import JobStream, poisson_stream
 
 DEFAULT_SCHEDULERS: tuple[str, ...] = (
     "multiprio", "multiprio-energy", "multiprio-edp", "eager",
@@ -53,7 +51,6 @@ DEFAULT_SCHEDULERS: tuple[str, ...] = (
 #: Node cap levels as fractions of each node's peak busy draw
 #: (``None`` = uncapped). Three levels per the sweep's design.
 DEFAULT_CAP_FRACTIONS: tuple[float | None, ...] = (None, 0.8, 0.6)
-QUICK_CAP_FRACTIONS: tuple[float | None, ...] = (None, 0.6)
 
 #: Offered load as a multiple of the node's sustainable service rate:
 #: busy enough that placement choices matter, not so overloaded that
@@ -92,27 +89,6 @@ def node_caps_for(
     return caps
 
 
-def energy_workload(
-    *,
-    rate_jobs_per_s: float,
-    n_tenants: int,
-    n_jobs: int,
-    n_tiles: int = 4,
-    tile_size: int = 256,
-    seed: int = 0,
-) -> JobStream:
-    """A Poisson Cholesky stream over ``n_tenants`` tenants."""
-    tenants = tuple(f"t{i:02d}" for i in range(n_tenants))
-    return poisson_stream(
-        [("cholesky", lambda: cholesky_program(n_tiles, tile_size))],
-        rate_jobs_per_s=rate_jobs_per_s,
-        n_jobs=n_jobs,
-        seed=seed,
-        tenants=tenants,
-        name=f"energy-{rate_jobs_per_s:g}",
-    )
-
-
 @dataclass
 class EnergyRow:
     """One (scheduler, cap level) cell of the sweep."""
@@ -145,12 +121,15 @@ class EnergyRow:
 class EnergyExperimentResult:
     """All rows of the energy Pareto sweep."""
 
+    experiment: ClassVar[str] = "energy"
     machine: str
     n_tenants: int
     n_jobs: int
     seed: int
     load: float
     rate_jobs_per_s: float
+    #: ``len(dominating_rows())``, set once the grid has run.
+    n_dominating: int = 0
     rows: list[EnergyRow] = field(default_factory=list)
 
     def baseline_row(self) -> EnergyRow | None:
@@ -213,9 +192,10 @@ def _energy_cell(
         else None
     )
     power = PowerStateModel(node_cap_watts=caps)
-    stream = energy_workload(
+    stream = overload_workload(
         rate_jobs_per_s=rate_jobs_per_s, n_tenants=n_tenants,
         n_jobs=n_jobs, n_tiles=n_tiles, tile_size=tile_size, seed=seed,
+        qos=None, name="energy",
     )
     res = SimSpec(
         machine, scheduler, isolated_baseline=False,
@@ -280,7 +260,7 @@ def run_energy_experiment(
     ]
     rows = list(run_tasks(cells, jobs=jobs, progress=progress))
     mark_pareto(rows)
-    return EnergyExperimentResult(
+    result = EnergyExperimentResult(
         machine=machine,
         n_tenants=n_tenants,
         n_jobs=n_jobs,
@@ -289,6 +269,12 @@ def run_energy_experiment(
         rate_jobs_per_s=rate,
         rows=rows,
     )
+    result.n_dominating = len(result.dominating_rows())
+    return result
+
+
+#: Keyword overrides for the CLI's ``--quick`` (the CI smoke grid).
+run_energy_experiment.quick = {"cap_fractions": (None, 0.6), "n_tenants": 4, "n_jobs": 12}
 
 
 def format_energy_experiment(result: EnergyExperimentResult) -> str:
@@ -339,48 +325,3 @@ def format_energy_experiment(result: EnergyExperimentResult) -> str:
             "within 10% makespan"
         )
     return f"{table}\n{verdict}"
-
-
-def energy_report(result: EnergyExperimentResult) -> dict[str, Any]:
-    """JSON-ready report with per-tenant joules per cell."""
-    return {
-        "experiment": "energy",
-        "machine": result.machine,
-        "n_tenants": result.n_tenants,
-        "n_jobs": result.n_jobs,
-        "seed": result.seed,
-        "load": result.load,
-        "rate_jobs_per_s": result.rate_jobs_per_s,
-        "n_dominating": len(result.dominating_rows()),
-        "rows": [
-            {
-                "scheduler": row.scheduler,
-                "cap_fraction": row.cap_fraction,
-                "cap_watts": (
-                    {str(mid): w for mid, w in row.cap_watts.items()}
-                    if row.cap_watts is not None
-                    else None
-                ),
-                "makespan_us": row.makespan_us,
-                "total_energy_j": row.total_energy_j,
-                "busy_energy_j": row.busy_energy_j,
-                "jobs_energy_j": row.jobs_energy_j,
-                "mean_latency_us": row.mean_latency_us,
-                "mean_edp_j_s": row.mean_edp_j_s,
-                "fairness": row.fairness,
-                "n_throttled": row.n_throttled,
-                "throttle_delay_us": row.throttle_delay_us,
-                "n_jobs": row.n_jobs,
-                "pareto": row.pareto,
-                "per_tenant": row.per_tenant,
-            }
-            for row in result.rows
-        ],
-    }
-
-
-def write_energy_report(result: EnergyExperimentResult, path: str) -> None:
-    """Serialize :func:`energy_report` to ``path``."""
-    with open(path, "w") as fh:
-        json.dump(energy_report(result), fh, indent=2)
-        fh.write("\n")

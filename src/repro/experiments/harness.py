@@ -1,18 +1,8 @@
-"""Shared experiment plumbing: run (program x machine x scheduler) grids."""
+"""Shared experiment rows: one simulated run of a grid, and speedups."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
-
-from repro.api import SimConfig, SimSpec
-from repro.obs.events import RecordLevel
-from repro.platform.machines import MachineModel
-from repro.runtime.engine import SimResult
-from repro.runtime.stf import Program
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.perfmodel import PerfModel
 
 
 @dataclass
@@ -28,84 +18,6 @@ class ExperimentResult:
     bytes_transferred: int
     idle_frac_by_arch: dict[str, float] = field(default_factory=dict)
     extra: dict[str, float] = field(default_factory=dict)
-
-
-def run_one(
-    program: Program,
-    machine: MachineModel,
-    scheduler_name: str,
-    *,
-    experiment: str = "",
-    seed: int = 0,
-    noise_sigma: float = 0.0,
-    perfmodel: "PerfModel | None" = None,
-    record_trace: bool = False,
-    record_level: RecordLevel | str | int = RecordLevel.OFF,
-    sched_params: dict | None = None,
-) -> tuple[ExperimentResult, SimResult]:
-    """Simulate one (program, machine, scheduler) combination.
-
-    A thin wrapper over :meth:`repro.api.SimSpec.run` that additionally
-    shapes the outcome into an :class:`ExperimentResult` row.
-    ``perfmodel`` overrides the default analytical model (making e.g.
-    :class:`~repro.runtime.perfmodel.HistoryPerfModel` runs reachable
-    from the harness); ``record_level`` enables the observability
-    subsystem for the run — the returned :class:`SimResult` then
-    carries the event stream and a metrics snapshot (see
-    :mod:`repro.obs`).
-    """
-    res = SimSpec(
-        machine,
-        scheduler_name,
-        config=SimConfig(
-            seed=seed,
-            noise_sigma=noise_sigma,
-            perfmodel=perfmodel,
-            record_trace=record_trace,
-            record_level=record_level,
-            sched_params=dict(sched_params) if sched_params else {},
-        ),
-    ).run(program)
-    row = ExperimentResult(
-        experiment=experiment,
-        machine=machine.name,
-        scheduler=scheduler_name,
-        workload=program.name,
-        makespan_us=res.makespan,
-        gflops=res.gflops,
-        bytes_transferred=res.bytes_transferred,
-        idle_frac_by_arch=dict(res.idle_frac_by_arch),
-    )
-    return row, res
-
-
-def run_grid(
-    programs: Iterable[Program],
-    machines: Iterable[MachineModel],
-    schedulers: Iterable[str],
-    *,
-    experiment: str = "",
-    seed: int = 0,
-    noise_sigma: float = 0.0,
-    progress: Callable[[ExperimentResult], None] | None = None,
-) -> list[ExperimentResult]:
-    """Run the full cartesian grid; returns one row per combination."""
-    rows: list[ExperimentResult] = []
-    for machine in machines:
-        for program in programs:
-            for scheduler_name in schedulers:
-                row, _ = run_one(
-                    program,
-                    machine,
-                    scheduler_name,
-                    experiment=experiment,
-                    seed=seed,
-                    noise_sigma=noise_sigma,
-                )
-                rows.append(row)
-                if progress is not None:
-                    progress(row)
-    return rows
 
 
 def speedup_table(

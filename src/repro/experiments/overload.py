@@ -20,9 +20,8 @@ bit-identical to a serial run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from repro.analysis.stats import percentile
 from repro.api import SimConfig, SimSpec
@@ -36,7 +35,6 @@ from repro.workload.stream import QOS_CLASSES, JobStream, poisson_stream
 
 #: Offered load as multiples of the node's sustainable service rate.
 DEFAULT_MULTIPLIERS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 10.0)
-QUICK_MULTIPLIERS: tuple[float, ...] = (1.0, 4.0)
 
 DEFAULT_SCHEDULERS: tuple[str, ...] = ("multiprio",)
 
@@ -74,9 +72,18 @@ def overload_workload(
     n_tiles: int = 4,
     tile_size: int = 256,
     seed: int = 0,
+    qos: Sequence[str] | None = QOS_CLASSES,
+    deadline: float | None = None,
+    name: str = "overload",
 ) -> JobStream:
-    """A Poisson stream over ``n_tenants`` tenants whose QoS classes
-    round-robin through guaranteed / burstable / best-effort."""
+    """A Poisson Cholesky stream over ``n_tenants`` tenants ``t00``,
+    ``t01``, ...: the workload of the overload, rt and energy sweeps.
+
+    ``qos`` classes round-robin per tenant (guaranteed / burstable /
+    best-effort by default; ``None`` leaves every job ``burstable``),
+    ``deadline`` is every job's relative deadline (µs), and the stream
+    is named ``{name}-{rate_jobs_per_s:g}``.
+    """
     tenants = tuple(f"t{i:02d}" for i in range(n_tenants))
     return poisson_stream(
         [("cholesky", lambda: cholesky_program(n_tiles, tile_size))],
@@ -84,8 +91,9 @@ def overload_workload(
         n_jobs=n_jobs,
         seed=seed,
         tenants=tenants,
-        qos=QOS_CLASSES,
-        name=f"overload-{rate_jobs_per_s:g}",
+        qos=qos,
+        deadline=deadline,
+        name=f"{name}-{rate_jobs_per_s:g}",
     )
 
 
@@ -117,6 +125,7 @@ class OverloadRow:
 class OverloadExperimentResult:
     """All rows of the overload sweep."""
 
+    experiment: ClassVar[str] = "overload"
     machine: str
     n_tenants: int
     n_jobs: int
@@ -277,6 +286,10 @@ def run_overload_experiment(
     )
 
 
+#: Keyword overrides for the CLI's ``--quick`` (the CI smoke grid).
+run_overload_experiment.quick = {"multipliers": (1.0, 4.0), "n_tenants": 6, "n_jobs": 18}
+
+
 def format_overload_experiment(result: OverloadExperimentResult) -> str:
     """The sweep as an aligned text table."""
     rows = [
@@ -309,46 +322,3 @@ def format_overload_experiment(result: OverloadExperimentResult) -> str:
             f"seed {result.seed})"
         ),
     )
-
-
-def overload_report(result: OverloadExperimentResult) -> dict[str, Any]:
-    """JSON-ready report with per-class/per-tenant stats per cell."""
-    return {
-        "experiment": "overload",
-        "machine": result.machine,
-        "n_tenants": result.n_tenants,
-        "n_jobs": result.n_jobs,
-        "seed": result.seed,
-        "job_cost_us": result.job_cost_us,
-        "sustainable_rate_jobs_per_s": result.sustainable_rate_jobs_per_s,
-        "rows": [
-            {
-                "scheduler": row.scheduler,
-                "multiplier": row.multiplier,
-                "controlled": row.controlled,
-                "rate_jobs_per_s": row.rate_jobs_per_s,
-                "arrived": row.arrived,
-                "completed": row.completed,
-                "rejected": row.rejected,
-                "evicted": row.evicted,
-                "delays": row.delays,
-                "slo_miss_rate": row.slo_miss_rate,
-                "mean_latency_us": row.mean_latency_us,
-                "p99_latency_us": row.p99_latency_us,
-                "p99_slowdown": row.p99_slowdown,
-                "guaranteed_p99_slowdown": row.guaranteed_p99_slowdown,
-                "tenant_fairness": row.tenant_fairness,
-                "makespan_us": row.makespan_us,
-                "per_class": row.per_class,
-                "per_tenant": row.per_tenant,
-            }
-            for row in result.rows
-        ],
-    }
-
-
-def write_overload_report(result: OverloadExperimentResult, path: str) -> None:
-    """Serialize :func:`overload_report` to ``path``."""
-    with open(path, "w") as fh:
-        json.dump(overload_report(result), fh, indent=2)
-        fh.write("\n")

@@ -1,8 +1,10 @@
-"""Plain-text rendering of experiment tables and series."""
+"""Plain-text rendering of experiment tables and series; JSON reports."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import json
+from dataclasses import asdict
+from typing import Any, Sequence
 
 
 def format_table(
@@ -33,6 +35,15 @@ def format_series(
     for x, y in zip(xs, ys):
         lines.append(f"  {str(x):>12} {y:12.3f}")
     return "\n".join(lines)
+
+
+def write_report(result: Any, path: str) -> None:
+    """Write a sweep result dataclass to ``path`` as a JSON report: its
+    ``experiment`` name, then every field (rows included) via
+    :func:`dataclasses.asdict`."""
+    with open(path, "w") as fh:
+        json.dump({"experiment": result.experiment, **asdict(result)}, fh, indent=2)
+        fh.write("\n")
 
 
 def _fmt(value: object) -> str:

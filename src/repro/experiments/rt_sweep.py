@@ -28,23 +28,21 @@ already past it. Cells are dispatched through :mod:`repro.sweep`, so
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from repro.api import SimConfig, SimSpec
 from repro.apps.dense import cholesky_program
 from repro.experiments.overload import (
     estimate_job_cost_us,
+    overload_workload,
     sustainable_rate_jobs_per_s,
 )
 from repro.experiments.reporting import format_table
 from repro.sweep import CallSpec, run_tasks
-from repro.workload.stream import JobStream, poisson_stream
 
 #: Offered load as multiples of the node's sustainable service rate.
 DEFAULT_MULTIPLIERS: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
-QUICK_MULTIPLIERS: tuple[float, ...] = (1.0, 2.0)
 
 DEFAULT_SCHEDULERS: tuple[str, ...] = (
     "multiprio", "edf", "multiprio-deadline", "multiprio-relaxed",
@@ -67,29 +65,6 @@ def isolated_makespan_us(
         SimSpec(machine, "multiprio", seed=seed)
         .run(cholesky_program(n_tiles, tile_size))
         .makespan
-    )
-
-
-def rt_workload(
-    *,
-    rate_jobs_per_s: float,
-    n_tenants: int,
-    n_jobs: int,
-    deadline_us: float,
-    n_tiles: int = 4,
-    tile_size: int = 256,
-    seed: int = 0,
-) -> JobStream:
-    """A deadline-tagged Poisson stream over ``n_tenants`` tenants."""
-    tenants = tuple(f"t{i:02d}" for i in range(n_tenants))
-    return poisson_stream(
-        [("cholesky", lambda: cholesky_program(n_tiles, tile_size))],
-        rate_jobs_per_s=rate_jobs_per_s,
-        n_jobs=n_jobs,
-        seed=seed,
-        tenants=tenants,
-        deadline=deadline_us,
-        name=f"rt-{rate_jobs_per_s:g}",
     )
 
 
@@ -116,6 +91,7 @@ class RtRow:
 class RtExperimentResult:
     """All rows of the rt sweep."""
 
+    experiment: ClassVar[str] = "rt"
     machine: str
     n_tenants: int
     n_jobs: int
@@ -142,10 +118,10 @@ def _rt_cell(
     """One cell, executed in whichever process the sweep picked."""
     job_cost = estimate_job_cost_us(machine, n_tiles, tile_size)
     rate = multiplier * sustainable_rate_jobs_per_s(machine, job_cost)
-    stream = rt_workload(
+    stream = overload_workload(
         rate_jobs_per_s=rate, n_tenants=n_tenants, n_jobs=n_jobs,
-        deadline_us=deadline_us, n_tiles=n_tiles, tile_size=tile_size,
-        seed=seed,
+        n_tiles=n_tiles, tile_size=tile_size, seed=seed,
+        qos=None, deadline=deadline_us, name="rt",
     )
     # The boosted variant's promotion window defaults to one relative
     # deadline: a job's tasks get urgent once less than a full isolated
@@ -232,6 +208,10 @@ def run_rt_experiment(
     )
 
 
+#: Keyword overrides for the CLI's ``--quick`` (the CI smoke grid).
+run_rt_experiment.quick = {"multipliers": (1.0, 2.0), "n_tenants": 4, "n_jobs": 16}
+
+
 def format_rt_experiment(result: RtExperimentResult) -> str:
     """The sweep as an aligned text table."""
     rows = [
@@ -260,42 +240,3 @@ def format_rt_experiment(result: RtExperimentResult) -> str:
             f"{result.deadline_factor:g}x isolated, seed {result.seed})"
         ),
     )
-
-
-def rt_report(result: RtExperimentResult) -> dict[str, Any]:
-    """JSON-ready report with per-tenant miss rates per cell."""
-    return {
-        "experiment": "rt",
-        "machine": result.machine,
-        "n_tenants": result.n_tenants,
-        "n_jobs": result.n_jobs,
-        "seed": result.seed,
-        "deadline_factor": result.deadline_factor,
-        "deadline_us": result.deadline_us,
-        "sustainable_rate_jobs_per_s": result.sustainable_rate_jobs_per_s,
-        "rows": [
-            {
-                "scheduler": row.scheduler,
-                "multiplier": row.multiplier,
-                "rate_jobs_per_s": row.rate_jobs_per_s,
-                "n_jobs": row.n_jobs,
-                "deadline_us": row.deadline_us,
-                "miss_rate": row.miss_rate,
-                "p50_lateness_us": row.p50_lateness_us,
-                "p95_lateness_us": row.p95_lateness_us,
-                "p99_lateness_us": row.p99_lateness_us,
-                "mean_latency_us": row.mean_latency_us,
-                "p99_latency_us": row.p99_latency_us,
-                "makespan_us": row.makespan_us,
-                "per_tenant": row.per_tenant,
-            }
-            for row in result.rows
-        ],
-    }
-
-
-def write_rt_report(result: RtExperimentResult, path: str) -> None:
-    """Serialize :func:`rt_report` to ``path``."""
-    with open(path, "w") as fh:
-        json.dump(rt_report(result), fh, indent=2)
-        fh.write("\n")

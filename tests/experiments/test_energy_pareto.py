@@ -9,14 +9,13 @@ import pytest
 from repro.experiments.energy_pareto import (
     EnergyExperimentResult,
     EnergyRow,
-    energy_report,
-    energy_workload,
     format_energy_experiment,
     mark_pareto,
     node_caps_for,
     run_energy_experiment,
-    write_energy_report,
 )
+from repro.experiments.overload import overload_workload
+from repro.experiments.reporting import write_report
 from repro.platform.machines import MACHINES
 from repro.runtime.power import PowerLedger, PowerStateModel
 
@@ -134,12 +133,18 @@ class TestEnergyExperiment:
 
     def test_report_round_trip(self, result, tmp_path):
         path = tmp_path / "energy.json"
-        write_energy_report(result, str(path))
+        write_report(result, str(path))
         doc = json.loads(path.read_text())
-        assert doc == energy_report(result)
         assert doc["experiment"] == "energy" and len(doc["rows"]) == 4
-        for row in doc["rows"]:
+        assert doc["n_dominating"] == len(result.dominating_rows())
+        for row, src in zip(doc["rows"], result.rows):
+            assert row["total_energy_j"] == src.total_energy_j
+            assert row["pareto"] == src.pareto
             assert row["per_tenant"]  # per-tenant joules serialized
+            if src.cap_watts is not None:
+                assert row["cap_watts"] == {
+                    str(mid): w for mid, w in src.cap_watts.items()
+                }
 
     def test_parallel_dispatch_is_bit_identical(self, result):
         twin = run_energy_experiment(
@@ -159,6 +164,10 @@ class TestEnergyExperiment:
 
 
 def test_energy_workload_shape():
-    stream = energy_workload(rate_jobs_per_s=50.0, n_tenants=3, n_jobs=9)
+    stream = overload_workload(
+        rate_jobs_per_s=50.0, n_tenants=3, n_jobs=9, qos=None, name="energy"
+    )
+    assert stream.name == "energy-50"
     assert len(stream.jobs) == 9
     assert len(stream.tenants) == 3
+    assert all(job.qos == "burstable" and job.deadline_us is None for job in stream.jobs)

@@ -2,26 +2,35 @@
 
 import pytest
 
-from repro.experiments.harness import run_grid, run_one, speedup_table
+from repro.api import SimConfig, SimSpec
+from repro.experiments.harness import speedup_table
 from repro.experiments.reporting import format_series, format_table
 from repro.platform.machines import small_hetero
+from repro.sweep import CallSpec, SweepSpec, run_sweep
 from tests.conftest import make_fork_join_program
 
 
 @pytest.fixture(scope="module")
 def grid_rows():
-    program = make_fork_join_program(width=8, flops=5e7)
-    machine = small_hetero(n_cpus=2, n_gpus=1)
-    return run_grid(
-        [program], [machine], ["eager", "dmdas", "multiprio"], experiment="t"
-    )
+    return run_sweep(SweepSpec.grid(
+        "t",
+        programs=[CallSpec(make_fork_join_program, kwargs={"width": 8, "flops": 5e7})],
+        machines=[small_hetero(n_cpus=2, n_gpus=1)],
+        schedulers=["eager", "dmdas", "multiprio"],
+    ))
 
 
 class TestHarness:
-    def test_run_one_returns_row_and_simresult(self):
-        program = make_fork_join_program(width=4)
+    def test_sweep_row_matches_simspec_run(self):
         machine = small_hetero(n_cpus=2, n_gpus=1)
-        row, res = run_one(program, machine, "eager", experiment="x", seed=1)
+        (row,) = run_sweep(SweepSpec.grid(
+            "x",
+            programs=[CallSpec(make_fork_join_program, kwargs={"width": 4})],
+            machines=[machine],
+            schedulers=["eager"],
+            seeds=[1],
+        ))
+        res = SimSpec(machine, "eager", seed=1).run(make_fork_join_program(width=4))
         assert row.scheduler == "eager"
         assert row.machine == machine.name
         assert row.makespan_us == res.makespan > 0
@@ -41,10 +50,11 @@ class TestHarness:
 
     def test_determinism_across_calls(self):
         program = make_fork_join_program(width=6)
-        machine = small_hetero(n_cpus=2, n_gpus=1)
-        row1, _ = run_one(program, machine, "multiprio", seed=5, noise_sigma=0.2)
-        row2, _ = run_one(program, machine, "multiprio", seed=5, noise_sigma=0.2)
-        assert row1.makespan_us == row2.makespan_us
+        spec = SimSpec(
+            small_hetero(n_cpus=2, n_gpus=1), "multiprio",
+            config=SimConfig(seed=5, noise_sigma=0.2),
+        )
+        assert spec.run(program).makespan == spec.run(program).makespan
 
 
 class TestReporting:
