@@ -29,9 +29,6 @@ from repro.experiments.stream_arrivals import (
 )
 from repro.runtime.stf import TaskFlow
 from repro.runtime.task import AccessMode
-from repro.schedulers.base import Scheduler
-from repro.schedulers.multiprio import MultiPrio
-from repro.schedulers.registry import register_scheduler
 from repro.workload.merge import merge_stream
 from repro.workload.stream import poisson_stream
 
@@ -51,26 +48,11 @@ COMMITTED_PER_EVENT_TASKS_PER_S = 7758.2
 COMMITTED_BUILD_TASKS_PER_S = 36_200.0
 COMMITTED_MERGE_TASKS_PER_S = 30_500.0
 
-class _SeqPushMultiPrio(MultiPrio):
-    """MultiPrio with the bulk ``push_batch`` override disabled (the
-    base class's sequential per-task pushes) — the baseline the bulk
-    insert path is measured against. Schedules bit-identically."""
-
-    push_batch = Scheduler.push_batch
-
-
-register_scheduler("multiprio-seqpush", _SeqPushMultiPrio, override=True)
-
 #: Scheduler/engine variants measured by the light-stream entry:
 #: name -> (scheduler, batch_step, batch_drain_on_idle).
-#: ``multiprio-batch500`` exercises MultiPrio's bulk ``push_batch``
-#: override (one hoisted scoring/insert pass over the whole buffer);
-#: ``multiprio-batch500-seqpush`` is the same engine configuration with
-#: sequential pushes, isolating the override's sched-core saving.
 LIGHT_VARIANTS: dict[str, tuple[str, float | None, bool]] = {
     "multiprio-per-event": ("multiprio", None, True),
     "multiprio-batch500": ("multiprio", 500.0, False),
-    "multiprio-batch500-seqpush": ("multiprio-seqpush", 500.0, False),
     "multiqueue-per-event": ("multiqueue", None, True),
     "multiqueue-batch500": ("multiqueue", 500.0, False),
 }

@@ -300,6 +300,7 @@ class SimSpec:
             for w in mach.platform().workers
         }
 
+        job_of = {j.jid: j for j in stream.jobs}
         jobs: list[JobResult] = []
         for span in merged.jobs:
             if completed is not None and span.jid not in completed:
@@ -314,7 +315,7 @@ class SimSpec:
                 if ej is None:
                     ej = (rec[3] - rec[2]) * watts_of[rec[0]] * 1e-6
                 joules += ej
-            job = next(j for j in stream.jobs if j.jid == span.jid)
+            job = job_of[span.jid]
             jobs.append(JobResult(
                 jid=span.jid,
                 name=span.name,

@@ -60,6 +60,7 @@ from repro.cluster.placement import (
 )
 from repro.obs.events import JobRejected
 from repro.platform.machines import MachineModel
+from repro.runtime.engine import _checks_enabled
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import Program
 from repro.sweep import CallSpec, run_tasks
@@ -313,17 +314,15 @@ def simulate_cluster(
 
     # -- global placement ------------------------------------------------
     global_sched = GlobalScheduler(clus, policy)
+    program_of: dict[int, Program] = {j.jid: j.program for j in stream.jobs}
     for job in admitted:
         work = tuple(work_on(n, job.program) for n in clus.node_names)
         pred: tuple[int, int] | None = None
         if job.after is not None and job.after in admitted_jids:
             pred_record = global_sched.placements[job.after]
-            pred_program = next(
-                j.program for j in stream.jobs if j.jid == job.after
-            )
             pred = (
                 clus.node_index(pred_record.node),
-                job_output_bytes(pred_program),
+                job_output_bytes(program_of[job.after]),
             )
         global_sched.place(job, work, pred)
     events.extend(global_sched.events)
@@ -332,7 +331,6 @@ def simulate_cluster(
     # -- per-node sub-streams and cross-node edges -----------------------
     jobs_by_node: dict[str, list[Job]] = {n: [] for n in clus.node_names}
     cross_edges: list[tuple[int, int, str, str, int]] = []
-    program_of: dict[int, Program] = {j.jid: j.program for j in stream.jobs}
     for job in admitted:
         node = placements[job.jid].node
         sub = job
@@ -484,12 +482,7 @@ def simulate_cluster(
 
 def _maybe_check(result: ClusterResult, cfg: SimConfig, n_arrived: int) -> None:
     """Run the cluster checker family when invariant checking is on."""
-    enabled = cfg.check_invariants
-    if enabled is None:
-        import os
-
-        enabled = os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
-    if not enabled:
+    if not _checks_enabled(cfg.check_invariants):
         return
     from repro.check.cluster import check_cluster
 

@@ -16,20 +16,15 @@ The heap supports what MultiPrio's POP needs beyond a textbook heap:
   select these duplicates, they will recognize that they have already
   been processed and remove them").
 
-Staleness is detected two ways, combined with *or*:
-
-* the entry-level ``dead`` tombstone — the scheduler marks every
-  duplicate of a taken task dead at take time, an O(#duplicates) flag
-  write with no heap mutation. Tombstoned entries are physically purged
-  only when ``best()``/``top_candidates()``/``purge_stale()`` encounter
-  them, so the purge cost rides on queries that were already touching
-  those slots. Because tombstones live on the *entry*, a task that is
-  rolled back and re-pushed (fault retry) cannot resurrect its old
-  duplicates — the stale entries stay dead even though the task itself
-  is READY again;
-* the optional task-level ``is_stale`` predicate, kept for schedulers
-  (and tests) that derive staleness from task state instead of marking
-  entries.
+Staleness is the entry-level ``dead`` tombstone: the scheduler marks
+every duplicate of a taken task dead at take time, an O(#duplicates)
+flag write with no heap mutation. Tombstoned entries are physically
+purged only when ``best()``/``top_candidates()``/``purge_stale()``
+encounter them, so the purge cost rides on queries that were already
+touching those slots. Because tombstones live on the *entry*, a task
+that is rolled back and re-pushed (fault retry) cannot resurrect its
+old duplicates — the stale entries stay dead even though the task
+itself is READY again.
 """
 
 from __future__ import annotations
@@ -78,11 +73,6 @@ class TaskHeap:
     ----------
     node:
         Memory node id this heap serves (informational).
-    is_stale:
-        Optional task-level predicate marking entries whose task was
-        already taken from a duplicate heap; checked *in addition to*
-        the entry-level ``dead`` tombstone. ``None`` (the fast path)
-        relies on tombstones alone.
     on_discard:
         Callback invoked with each discarded stale entry (the scheduler
         uses it to keep its ready-task counters exact).
@@ -91,13 +81,11 @@ class TaskHeap:
     def __init__(
         self,
         node: int = -1,
-        is_stale: Callable[[Task], bool] | None = None,
         on_discard: Callable[[HeapEntry], None] | None = None,
     ) -> None:
         self.node = node
         self._a: list[HeapEntry] = []
         self._seq = 0
-        self._is_stale = is_stale
         self._on_discard = on_discard
 
     # -- basics ---------------------------------------------------------
@@ -138,10 +126,9 @@ class TaskHeap:
 
     def best(self) -> HeapEntry | None:
         """The highest-scored live entry (stale roots are discarded)."""
-        pred = self._is_stale
         while self._a:
             root = self._a[0]
-            if root.dead or (pred is not None and pred(root.task)):
+            if root.dead:
                 self._discard(root)
             else:
                 return root
@@ -156,13 +143,9 @@ class TaskHeap:
         live tasks. The returned list is ordered by heap position (the
         root, if any, comes first).
         """
-        pred = self._is_stale
         while True:
             window = self._a[: max(0, n)]
-            if pred is None:
-                stale = [e for e in window if e.dead]
-            else:
-                stale = [e for e in window if e.dead or pred(e.task)]
+            stale = [e for e in window if e.dead]
             if not stale:
                 return window
             for entry in stale:
@@ -170,11 +153,7 @@ class TaskHeap:
 
     def purge_stale(self) -> int:
         """Discard every stale entry in the heap; returns the count."""
-        pred = self._is_stale
-        if pred is None:
-            stale = [e for e in self._a if e.dead]
-        else:
-            stale = [e for e in self._a if e.dead or pred(e.task)]
+        stale = [e for e in self._a if e.dead]
         for entry in stale:
             self._discard(entry)
         return len(stale)
@@ -273,7 +252,6 @@ class RelaxedTaskHeap:
         self,
         k: int,
         node: int = -1,
-        is_stale: Callable[[Task], bool] | None = None,
         on_discard: Callable[[HeapEntry], None] | None = None,
         seed: int = 0,
     ) -> None:
@@ -281,10 +259,7 @@ class RelaxedTaskHeap:
             raise ValueError(f"RelaxedTaskHeap needs k >= 1, got {k}")
         self.node = node
         self.k = k
-        self._subs = [
-            TaskHeap(node=node, is_stale=is_stale, on_discard=on_discard)
-            for _ in range(k)
-        ]
+        self._subs = [TaskHeap(node=node, on_discard=on_discard) for _ in range(k)]
         # xorshift64* state; any odd non-zero seed mix works.
         self._rng = ((seed * 0x9E3779B97F4A7C15) ^ ((node + 7) * 0xBF58476D1CE4E5B9)
                      | 1) & _M64

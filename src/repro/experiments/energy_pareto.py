@@ -199,7 +199,7 @@ def _energy_cell(
     )
     res = SimSpec(
         machine, scheduler, isolated_baseline=False,
-        config=SimConfig(power=power, check_invariants=check_invariants),
+        config=SimConfig(power=power, check_invariants=check_invariants or None),
     ).run_stream(stream)
     energy = res.sim.energy
     assert energy is not None  # the power model is always attached here

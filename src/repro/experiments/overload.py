@@ -177,7 +177,7 @@ def _overload_cell(
         )
     res = SimSpec(
         machine, scheduler, control=control,
-        config=SimConfig(check_invariants=check_invariants),
+        config=SimConfig(check_invariants=check_invariants or None),
     ).run_stream(stream)
     qos_of_jid = {job.jid: job.qos for job in stream.jobs}
     if res.control is not None:

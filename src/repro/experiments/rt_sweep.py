@@ -134,7 +134,7 @@ def _rt_cell(
     res = SimSpec(
         machine, scheduler, isolated_baseline=False,
         config=SimConfig(
-            check_invariants=check_invariants, sched_params=sched_params
+            check_invariants=check_invariants or None, sched_params=sched_params
         ),
     ).run_stream(stream)
     return RtRow(

@@ -5,7 +5,7 @@ efficiency heuristics to take advantage of the CPUs and re-balance the
 workload between them and the accelerators without compromising overall
 performance."*
 
-Three pieces:
+Two pieces:
 
 * :class:`ArchPower` / :class:`PowerModel` (re-exported from
   :mod:`repro.runtime.power`, their canonical home since the power
@@ -19,12 +19,11 @@ Three pieces:
   backlog than the baseline requires, as long as the comparative-
   advantage guard still holds. The effect — measured by
   ``benchmarks/bench_energy.py`` — is a lower joule count at a bounded
-  makespan cost;
-* :class:`EdpMultiPrio` (registered ``multiprio-edp``), the same
-  relaxation scored on the energy-delay product δ²·P instead of plain
-  energy δ·P: it only sheds work to lean units when the energy saved
-  outweighs the quadratically-penalized slowdown, trading fewer joules
-  of savings for a tighter makespan than ``multiprio-energy``.
+  makespan cost. With ``objective="edp"`` (registered ``multiprio-edp``)
+  the same relaxation is scored on the energy-delay product δ²·P instead
+  of plain energy δ·P: it only sheds work to lean units when the energy
+  saved outweighs the quadratically-penalized slowdown, trading fewer
+  joules of savings for a tighter makespan than ``multiprio-energy``.
 
 For engine-level power states, node caps and native joule reporting see
 :mod:`repro.runtime.power` (``SimConfig(power=...)``).
@@ -35,18 +34,21 @@ from __future__ import annotations
 from repro.schedulers.multiprio import MultiPrio
 from repro.runtime.engine import SimResult
 from repro.runtime.platform_config import Platform
-from repro.runtime.power import ArchPower, PowerModel
+from repro.runtime.power import ArchPower, PowerLedger, PowerModel, PowerStateModel
 from repro.runtime.task import Task
 from repro.runtime.worker import Worker
-from repro.utils.validation import ValidationError, check_positive
+from repro.utils.validation import ValidationError
 
 __all__ = [
     "ArchPower",
     "PowerModel",
     "energy_of_result",
     "EnergyAwareMultiPrio",
-    "EdpMultiPrio",
 ]
+
+#: Fraction of the baseline backlog requirement an energy-saving
+#: admission must still meet.
+ENERGY_RELAX = 0.25
 
 
 def energy_of_result(
@@ -60,28 +62,14 @@ def energy_of_result(
     to utilization — so a worker lost to a fail-stop failure stops
     drawing idle watts at its death rather than for the whole run.
 
-    Results predating per-worker busy accounting (an empty
-    ``busy_us_by_worker``) fall back to the per-architecture totals,
-    with every worker's timeline spanning the full makespan.
+    The arithmetic is the power ledger's: a single ``full``-state
+    uncapped :meth:`~repro.runtime.power.PowerStateModel.metering` model
+    charged with the result's per-worker busy time.
     """
-    power = power or PowerModel()
-    total = 0.0
-    busy_by_worker = result.busy_us_by_worker
-    deaths = result.death_us_by_worker
-    per_worker = len(busy_by_worker) == len(platform.workers) > 0
-    for arch in platform.archs:
-        workers = platform.workers_of_arch(arch)
-        if per_worker:
-            for w in workers:
-                horizon = min(result.makespan, deaths.get(w.wid, result.makespan))
-                busy = busy_by_worker[w.wid]
-                idle = max(0.0, horizon - busy)
-                total += power.energy_us(arch, busy, idle)
-        else:
-            busy = result.exec_time_by_arch.get(arch, 0.0)
-            idle = max(0.0, len(workers) * result.makespan - busy)
-            total += power.energy_us(arch, busy, idle)
-    return total
+    ledger = PowerLedger(PowerStateModel.metering(power), platform)
+    for wid, busy in enumerate(result.busy_us_by_worker):
+        ledger.busy_us_by_state[wid]["full"] = busy
+    return ledger.finalize(result.makespan, result.death_us_by_worker).total_j
 
 
 class EnergyAwareMultiPrio(MultiPrio):
@@ -89,10 +77,12 @@ class EnergyAwareMultiPrio(MultiPrio):
 
     A non-best worker whose execution would consume *less energy* than
     the best architecture's (δ·P comparison) is admitted at a fraction
-    (``energy_relax``) of the baseline backlog requirement — shifting
+    (``ENERGY_RELAX``) of the baseline backlog requirement — shifting
     work toward low-power units exactly when the energy trade is
-    favourable. All other mechanisms (heaps, scores, locality, eviction,
-    the slowdown cap) are inherited unchanged: the relaxation only
+    favourable. ``objective="edp"`` scores the trade on the
+    energy-delay product δ²·P instead. All other mechanisms (heaps,
+    scores, locality, eviction, the slowdown cap) are inherited
+    unchanged: the relaxation only
     applies to admissions the base test *rejected on backlog*, so
     best-arch workers and the slowdown-cap guard behave exactly as in
     :class:`~repro.schedulers.multiprio.MultiPrio` (a neutral power
@@ -102,27 +92,22 @@ class EnergyAwareMultiPrio(MultiPrio):
 
     name = "multiprio-energy"
 
-    #: Admission objective: ``"energy"`` compares δ·P, ``"edp"``
-    #: compares the energy-delay product δ²·P.
-    objective = "energy"
-
     def __init__(
         self,
         *,
         power: PowerModel | None = None,
-        energy_relax: float = 0.25,
-        objective: str | None = None,
+        objective: str = "energy",
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
         self.power = power or PowerModel()
-        self.energy_relax = check_positive("energy_relax", energy_relax)
-        if objective is not None:
-            if objective not in ("energy", "edp"):
-                raise ValidationError(
-                    f"objective must be 'energy' or 'edp', got {objective!r}"
-                )
-            self.objective = objective
+        if objective not in ("energy", "edp"):
+            raise ValidationError(
+                f"objective must be 'energy' or 'edp', got {objective!r}"
+            )
+        self.objective = objective
+        if objective == "edp":
+            self.name = "multiprio-edp"
 
     def _energy_saving(self, task: Task, worker: Worker, best_arch: str) -> bool:
         """Whether running on ``worker`` beats the best arch on the
@@ -144,7 +129,7 @@ class EnergyAwareMultiPrio(MultiPrio):
         slowdown-cap rejection — is honoured verbatim. Only a *backlog*
         rejection (``brw`` was read and fell short) may be overturned:
         when this worker wins on the objective, the backlog requirement
-        shrinks to ``energy_relax`` of the baseline.
+        shrinks to ``ENERGY_RELAX`` of the baseline.
         """
         admitted, brw, delta = super()._admission(task, worker)
         if admitted or brw is None:
@@ -154,18 +139,5 @@ class EnergyAwareMultiPrio(MultiPrio):
             return admitted, brw, delta
         if not self._energy_saving(task, worker, self.ctx.best_arch(task)):
             return False, brw, delta
-        return brw > self.energy_relax * self.brw_safety * delta, brw, delta
+        return brw > ENERGY_RELAX * delta, brw, delta
 
-
-class EdpMultiPrio(EnergyAwareMultiPrio):
-    """Energy-delay-product scoring as a MultiPrio mode.
-
-    Identical machinery to :class:`EnergyAwareMultiPrio`, but the
-    relaxation fires only when the *energy-delay product* δ²·P improves:
-    the extra delay of a lean worker is penalized quadratically, so work
-    only shifts off the accelerators when the joules saved are worth the
-    slowdown. Registered as ``multiprio-edp``.
-    """
-
-    name = "multiprio-edp"
-    objective = "edp"

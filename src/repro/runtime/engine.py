@@ -444,11 +444,7 @@ class Simulator:
         self.record_trace = record_trace
         self.pipeline = pipeline
         self.submission_window = submission_window
-        if check_invariants is None:
-            check_invariants = os.environ.get(
-                "REPRO_CHECK_INVARIANTS", ""
-            ) not in ("", "0")
-        self.check_invariants = bool(check_invariants)
+        self.check_invariants = _checks_enabled(check_invariants)
         self.record_level = RecordLevel.parse(record_level)
         self.obs: Observability | None = (
             Observability(self.record_level)
@@ -934,6 +930,14 @@ class Simulator:
                     f"{task.name} has implementations {sorted(task.implementations)} "
                     f"but the platform only offers {self.ctx.available_archs}"
                 )
+
+
+def _checks_enabled(check_invariants: bool | None) -> bool:
+    """Whether invariant checking is on: ``None`` defers to the
+    ``REPRO_CHECK_INVARIANTS`` environment variable (unset or ``0`` is off)."""
+    if check_invariants is None:
+        return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
+    return bool(check_invariants)
 
 
 def _idle_fractions(

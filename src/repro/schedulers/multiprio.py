@@ -31,7 +31,7 @@ Ablation knobs used by the benchmark suite:
   Alg. 2's pseudocode. The drain-time variant dominates empirically and
   matches the paper's reported behaviour (slow workers only help when
   the fast ones are genuinely backlogged); the raw variant is kept as an
-  ablation (`multiprio-rawbrw`).
+  ablation (``drain_aware=False``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ from repro.runtime.worker import Worker
 from repro.schedulers.base import Scheduler
 from repro.utils.validation import ValidationError, check_in_range, check_positive
 
+#: Pop-condition rejections one pop tolerates before returning empty.
+MAX_TRIES = 10
+
 
 class MultiPrio(Scheduler):
     """Dynamic multi-priority scheduler for heterogeneous nodes."""
@@ -58,13 +61,10 @@ class MultiPrio(Scheduler):
         *,
         locality_n: int = 10,
         locality_eps: float = 0.0,
-        max_tries: int = 10,
         eviction: bool = True,
         use_locality: bool = True,
         use_criticality: bool = True,
-        arch_filtered_nod: bool = False,
         drain_aware: bool = True,
-        brw_safety: float = 1.0,
         slowdown_cap: float | None = 60.0,
         evict_on_reject: bool = False,
         relaxed: int = 0,
@@ -73,17 +73,10 @@ class MultiPrio(Scheduler):
         super().__init__()
         self.locality_n = int(check_positive("locality_n", locality_n))
         self.locality_eps = check_in_range("locality_eps", locality_eps, 0.0, 1.0)
-        self.max_tries = int(check_positive("max_tries", max_tries))
         self.eviction = eviction
         self.use_locality = use_locality
         self.use_criticality = use_criticality
-        self.arch_filtered_nod = arch_filtered_nod
         self.drain_aware = drain_aware
-        # Safety factor on the pop condition: a slow worker is admitted
-        # only when the best workers' drain time exceeds `brw_safety x`
-        # its own execution time. >1 biases borderline decisions toward
-        # the fast units (the remaining-work refinement of Section VII).
-        self.brw_safety = check_positive("brw_safety", brw_safety)
         # Comparative-advantage guard: a non-best worker never takes a
         # task on which it is more than `slowdown_cap` times slower than
         # the best architecture, however large the backlog. Encodes the
@@ -161,10 +154,9 @@ class MultiPrio(Scheduler):
         for node in ctx.platform.nodes:
             if ctx.platform.workers_of_node(node.mid):
                 # Staleness is tracked with entry tombstones (marked in
-                # `_take`), so the heaps need no task-level predicate.
-                # The discard callback carries the node id so counters
-                # stay exact even when the task's scratch (and with it
-                # the entry map) was wiped by a fault rollback.
+                # `_take`). The discard callback carries the node id so
+                # counters stay exact even when the task's scratch (and
+                # with it the entry map) was wiped by a fault rollback.
                 if self.relaxed:
                     self.heaps[node.mid] = RelaxedTaskHeap(
                         self.relaxed,
@@ -208,11 +200,9 @@ class MultiPrio(Scheduler):
         gains = self._gain.observe_and_score(deltas)
         best_arch = ctx.best_arch(task)
         boost_gain = self._boost_gain(task)
-        # The raw NOD is arch-independent unless filtering is on; the
-        # per-arch trackers below still observe it in node order.
-        raw_nod = 0.0
-        if self.use_criticality and not self.arch_filtered_nod:
-            raw_nod = nod(task)
+        # The raw NOD is arch-independent; the per-arch trackers below
+        # still observe it in node order.
+        raw_nod = nod(task) if self.use_criticality else 0.0
 
         brw_nodes: list[int] = []
         entries: dict[int, HeapEntry] = {}
@@ -224,12 +214,7 @@ class MultiPrio(Scheduler):
                 continue
             gain = gains[node.arch] if boost_gain is None else boost_gain
             if self.use_criticality:
-                if self.arch_filtered_nod:
-                    arch = node.arch
-                    raw = nod(task, lambda t, _a=arch: t.can_exec(_a))
-                else:
-                    raw = raw_nod
-                prio = self._nod[node.arch].observe_and_score(raw)
+                prio = self._nod[node.arch].observe_and_score(raw_nod)
             else:
                 prio = 0.0
             entries[mid] = heap.insert(task, gain, prio)
@@ -269,100 +254,6 @@ class MultiPrio(Scheduler):
             urgency = 1.0
         return 2.0 + urgency
 
-    def push_batch(self, tasks: list[Task]) -> None:
-        """Bulk Alg. 1 for the batch-mode engine.
-
-        Bit-identical to ``len(tasks)`` sequential :meth:`push` calls:
-        the score trackers observe every task in buffer order and each
-        node heap receives its entries in exactly the sequential
-        insertion order. A per-heap heapify would be asymptotically
-        nicer but changes the physical slot layout, and
-        ``top_candidates`` exposes the first-n slots — the candidate
-        windows (and with them the schedule) would differ. The savings
-        are amortization instead: loop-invariant context/tracker/heap
-        lookups are hoisted out of the per-task loop, the BRW memo is
-        cleared once instead of per task, and queue-depth gauges are
-        sampled once per touched node instead of once per (task, node).
-        """
-        if len(tasks) < 2:
-            for task in tasks:
-                self.push(task)
-            return
-        ctx = self.ctx
-        available = ctx.available_archs
-        # `ctx.estimate` / `ctx.exec_archs` / `ctx.best_arch` are pure
-        # forwarders over the perf model and the availability list; the
-        # loop below inlines them (same values, same tie-breaking order)
-        # to shed one call frame per (task, arch).
-        estimate = ctx.perfmodel.estimate
-        best_arch_of = ctx.best_arch
-        observe_gain = self._gain.observe_and_score
-        boost_gain_of = self._boost_gain if self.deadline_boost is not None else None
-        use_crit = self.use_criticality
-        arch_filtered = self.arch_filtered_nod
-        counts = self.ready_tasks_count
-        brw = self.best_remaining_work
-        # (mid, arch, bound heap insert, bound NOD observe) per node.
-        lanes = [
-            (
-                n.mid,
-                n.arch,
-                self.heaps[n.mid].insert,
-                self._nod[n.arch].observe_and_score if use_crit else None,
-            )
-            for n in ctx.platform.nodes
-            if n.mid in self.heaps
-        ]
-        touched: set[int] = set()
-        for task in tasks:
-            can_exec = task.can_exec
-            sched = task.sched
-            archs = [a for a in available if can_exec(a)]
-            deltas = {a: estimate(task, a) for a in archs}
-            gains = observe_gain(deltas)
-            best_arch = sched.get("_best_arch")
-            if best_arch is None:
-                if archs:
-                    best_arch = min(archs, key=deltas.__getitem__)
-                    sched["_best_arch"] = best_arch
-                else:
-                    best_arch = best_arch_of(task)  # raises SchedulingError
-            boost_gain = None if boost_gain_of is None else boost_gain_of(task)
-            raw_nod = 0.0
-            if use_crit and not arch_filtered:
-                raw_nod = nod(task)
-            brw_nodes: list[int] = []
-            enabled_nodes: list[int] = []
-            entries: dict[int, HeapEntry] = {}
-            for mid, arch, insert, observe_nod in lanes:
-                if not can_exec(arch):
-                    continue
-                gain = gains[arch] if boost_gain is None else boost_gain
-                if observe_nod is not None:
-                    if arch_filtered:
-                        raw = nod(task, lambda t, _a=arch: t.can_exec(_a))
-                    else:
-                        raw = raw_nod
-                    prio = observe_nod(raw)
-                else:
-                    prio = 0.0
-                entries[mid] = insert(task, gain, prio)
-                enabled_nodes.append(mid)
-                counts[mid] += 1
-                if arch == best_arch:
-                    brw[mid] += deltas[best_arch]
-                    brw_nodes.append(mid)
-            sched["mp_nodes"] = enabled_nodes
-            sched["mp_entries"] = entries
-            sched["mp_brw_nodes"] = brw_nodes
-            sched["mp_best_delta"] = deltas[best_arch]
-            sched["mp_deltas"] = deltas
-            touched.update(enabled_nodes)
-        self._brw_memo.clear()
-        if self.obs is not None:
-            for mid in sorted(touched):
-                self.record_queue_depth(f"heap_depth.node{mid}", counts[mid])
-
     # -- POP (Alg. 2) ----------------------------------------------------------
 
     def pop(self, worker: Worker) -> Task | None:
@@ -377,14 +268,14 @@ class MultiPrio(Scheduler):
         # window per pop suffices. Walking it in decreasing key order
         # replays exactly the rejection sequence the per-try re-scanning
         # loop would produce, at a fraction of the cost.
-        window = heap.top_candidates(max(self.locality_n, self.max_tries + 1))
+        window = heap.top_candidates(max(self.locality_n, MAX_TRIES + 1))
         if not window:
             return None
         dec = self.decisions_enabled
         tries = 0
         rejected: set[int] = set()
         for top in sorted(window, key=HeapEntry.key, reverse=True):
-            if tries >= self.max_tries:
+            if tries >= MAX_TRIES:
                 break
             # Cheap first pass: the admission test; the (costlier)
             # locality refinement only runs for a candidate that will
@@ -409,10 +300,7 @@ class MultiPrio(Scheduler):
                     )
                 continue
             live = [e for e in window if id(e) not in rejected]
-            entry = self._locality_refine(top, live, worker)
-            # Candidate provenance must be derived before _take mutates
-            # best_remaining_work (the admission tests would differ).
-            cands = self._considered_candidates(top, live, worker) if dec else ()
+            entry, cands = self._locality_refine(top, live, worker)
             self._remove_entry(heap, entry, worker.memory_node)
             self._take(entry.task)
             if dec:
@@ -432,8 +320,8 @@ class MultiPrio(Scheduler):
         """
         dec = self.decisions_enabled
         tries = 0
-        while tries < self.max_tries:
-            window = heap.top_candidates(max(self.locality_n, self.max_tries + 1))
+        while tries < MAX_TRIES:
+            window = heap.top_candidates(max(self.locality_n, MAX_TRIES + 1))
             if not window:
                 break
             top = max(window, key=HeapEntry.key)
@@ -454,8 +342,7 @@ class MultiPrio(Scheduler):
                         delta=delta,
                     )
                 continue
-            entry = self._locality_refine(top, window, worker)
-            cands = self._considered_candidates(top, window, worker) if dec else ()
+            entry, cands = self._locality_refine(top, window, worker)
             self._remove_entry(heap, entry, worker.memory_node)
             self._take(entry.task)
             if dec:
@@ -465,36 +352,12 @@ class MultiPrio(Scheduler):
             self._n_rejections += 1
         return None
 
-    def _considered_candidates(
-        self, top: HeapEntry, live: list[HeapEntry], worker: Worker
-    ) -> tuple[int, ...]:
-        """The candidate set :meth:`_locality_refine` actually weighed.
-
-        ``top`` is always a candidate; every other entry must sit in the
-        top-``n`` window, score within ε of ``top``, *and* pass the pop
-        condition — entries rejected by the admission test were never
-        considered and must not appear in the provenance record. Called
-        before :meth:`_take` so the admission tests see the same
-        ``best_remaining_work`` the refinement saw.
-        """
-        if not self.use_locality or len(live) == 1:
-            return (top.task.tid,)
-        threshold = top.gain - self.locality_eps
-        cands = [top.task.tid]
-        for e in live[: self.locality_n]:
-            if e is top or e.gain < threshold:
-                continue
-            if not self._pop_condition(e.task, worker):
-                continue
-            cands.append(e.task.tid)
-        return tuple(cands)
-
     def _record_pop(
         self,
         entry: HeapEntry,
         worker: Worker,
         brw: float | None,
-        cands: tuple[int, ...],
+        cands: list[int],
     ) -> None:
         """Publish the decision-provenance record of a successful pop."""
         self.record_decision(
@@ -507,7 +370,7 @@ class MultiPrio(Scheduler):
             pop_condition=True,
             brw=brw,
             delta=self.ctx.estimate(entry.task, worker.arch),
-            candidates=cands,
+            candidates=tuple(cands),
         )
 
     def force_pop(self, worker: Worker) -> Task | None:
@@ -619,16 +482,20 @@ class MultiPrio(Scheduler):
 
     def _locality_refine(
         self, top: HeapEntry, live: list[HeapEntry], worker: Worker
-    ) -> HeapEntry:
+    ) -> tuple[HeapEntry, list[int]]:
         """The locality-aware selection of Section V-C.
 
         Take the most prioritized admissible task unless another task in
         the window — within ε of its score, restricted to the top-``n``
         candidates, and itself admissible — is more local to the
-        worker's memory node (LS_SDH², Eq. 3).
+        worker's memory node (LS_SDH², Eq. 3). Returns the chosen entry
+        and the tids of every candidate weighed, ``top`` first: the
+        decision record's provenance, taken before :meth:`_take` changes
+        the ``best_remaining_work`` the admission tests read.
         """
+        cands = [top.task.tid]
         if not self.use_locality or len(live) == 1:
-            return top
+            return top, cands
         threshold = top.gain - self.locality_eps
         best_entry = top
         best_score = ls_sdh2(top.task, worker.memory_node)
@@ -637,13 +504,14 @@ class MultiPrio(Scheduler):
                 continue
             if not self._pop_condition(entry.task, worker):
                 continue
+            cands.append(entry.task.tid)
             score = ls_sdh2(entry.task, worker.memory_node)
             if score > best_score or (
                 score == best_score and entry.sort_key > best_entry.sort_key
             ):
                 best_entry = entry
                 best_score = score
-        return best_entry
+        return best_entry, cands
 
     def _pop_condition(self, task: Task, worker: Worker) -> bool:
         """Alg. 2's admission test (Section V-D).
@@ -696,7 +564,7 @@ class MultiPrio(Scheduler):
                 n_best = max(1, ctx.n_workers(best_arch))
                 brw /= n_best
             self._brw_memo[best_arch] = brw
-        return brw > self.brw_safety * delta, brw, delta
+        return brw > delta, brw, delta
 
     # -- reporting -------------------------------------------------------------------
 

@@ -3,8 +3,10 @@
 Factories are callables accepting keyword parameters, so a registry
 name identifies a *family* and ``make_scheduler(name, **params)``
 selects a member: ``make_scheduler("multiprio", locality_eps=0.5,
-locality_n=5)``. The ablation aliases (``multiprio-noevict`` etc.) are
-thin wrappers that pre-bind one parameter and forward the rest.
+locality_n=5)``. The MultiPrio variants (``multiprio-relaxed`` etc.) are
+thin wrappers that pre-bind one parameter and forward the rest; the
+ablations are plain parameters (``eviction=False``, ``use_locality=False``,
+``use_criticality=False``, ``drain_aware=False``).
 """
 
 from __future__ import annotations
@@ -50,21 +52,18 @@ _FACTORIES: dict[str, Callable[..., Scheduler]] = {
     "multiprio-deadline": lambda **kw: MultiPrio(
         **{"deadline_boost": 1000.0, **kw}
     ),
-    # Ablation aliases: back-compat wrappers over MultiPrio parameters.
-    "multiprio-noevict": lambda **kw: MultiPrio(eviction=False, **kw),
-    "multiprio-nolocality": lambda **kw: MultiPrio(use_locality=False, **kw),
-    "multiprio-nocrit": lambda **kw: MultiPrio(use_criticality=False, **kw),
-    "multiprio-rawbrw": lambda **kw: MultiPrio(drain_aware=False, **kw),
 }
 
 
 def _register_extensions() -> None:
     """Extension schedulers live outside the core package; import them
     lazily so the registry module has no hard dependency on them."""
-    from repro.extensions.energy import EdpMultiPrio, EnergyAwareMultiPrio
+    from repro.extensions.energy import EnergyAwareMultiPrio
 
     _FACTORIES.setdefault("multiprio-energy", EnergyAwareMultiPrio)
-    _FACTORIES.setdefault("multiprio-edp", EdpMultiPrio)
+    _FACTORIES.setdefault(
+        "multiprio-edp", lambda **kw: EnergyAwareMultiPrio(objective="edp", **kw)
+    )
 
 
 _register_extensions()
@@ -81,7 +80,7 @@ def make_scheduler(name: str, **params) -> Scheduler:
     Keyword parameters are forwarded to the scheduler factory::
 
         make_scheduler("multiprio", locality_eps=0.5, locality_n=5)
-        make_scheduler("multiprio-noevict", slowdown_cap=None)
+        make_scheduler("multiprio-relaxed", slowdown_cap=None)
 
     A parameter the factory does not accept raises
     :class:`~repro.utils.validation.ValidationError`.

@@ -8,6 +8,16 @@ from repro.platform.machines import cpu_only, small_hetero
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import Program, TaskFlow
 from repro.runtime.task import AccessMode
+from repro.schedulers.registry import scheduler_names
+
+#: ``(name, sched_params)`` for cross-policy matrices: every registered
+#: scheduler, plus MultiPrio's four ablation settings.
+SCHEDULER_CONFIGS = [pytest.param(name, {}, id=name) for name in scheduler_names()] + [
+    pytest.param("multiprio", {"eviction": False}, id="multiprio-noevict"),
+    pytest.param("multiprio", {"use_locality": False}, id="multiprio-nolocality"),
+    pytest.param("multiprio", {"use_criticality": False}, id="multiprio-nocrit"),
+    pytest.param("multiprio", {"drain_aware": False}, id="multiprio-rawbrw"),
+]
 
 
 @pytest.fixture

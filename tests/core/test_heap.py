@@ -71,36 +71,28 @@ class TestBasics:
 class TestStaleness:
     def test_stale_root_discarded_on_best(self):
         discarded = []
-        heap = TaskHeap(
-            is_stale=lambda t: t.state is TaskState.DONE,
-            on_discard=discarded.append,
-        )
-        stale_task = make_task(0)
-        heap.insert(stale_task, 0.9, 0.0)
+        heap = TaskHeap(on_discard=discarded.append)
+        stale = heap.insert(make_task(0), 0.9, 0.0)
         live = heap.insert(make_task(1), 0.5, 0.0)
-        stale_task.state = TaskState.DONE
+        stale.dead = True
         assert heap.best() is live
         assert len(discarded) == 1
         assert len(heap) == 1
 
     def test_top_candidates_skips_stale(self):
-        heap = TaskHeap(is_stale=lambda t: t.state is TaskState.DONE)
-        tasks = [make_task(i) for i in range(6)]
-        for i, t in enumerate(tasks):
-            heap.insert(t, 0.5 + i / 100, 0.0)
-        tasks[3].state = TaskState.DONE
-        tasks[5].state = TaskState.DONE
+        heap = TaskHeap()
+        entries = [heap.insert(make_task(i), 0.5 + i / 100, 0.0) for i in range(6)]
+        entries[3].dead = True
+        entries[5].dead = True
         window = heap.top_candidates(6)
-        assert all(e.task.state is TaskState.READY for e in window)
+        assert not any(e.dead for e in window)
         assert len(window) == 4
 
     def test_purge_stale_counts(self):
-        heap = TaskHeap(is_stale=lambda t: t.state is TaskState.DONE)
-        tasks = [make_task(i) for i in range(5)]
-        for t in tasks:
-            heap.insert(t, 0.5, 0.0)
-        for t in tasks[:2]:
-            t.state = TaskState.DONE
+        heap = TaskHeap()
+        entries = [heap.insert(make_task(i), 0.5, 0.0) for i in range(5)]
+        for e in entries[:2]:
+            e.dead = True
         assert heap.purge_stale() == 2
         assert len(heap) == 3
 

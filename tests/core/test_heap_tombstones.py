@@ -55,17 +55,6 @@ class TestTombstones:
         assert len(heap) == 3
         assert len(discarded) == 2
 
-    def test_tombstone_and_predicate_staleness_compose(self):
-        heap = TaskHeap(is_stale=lambda t: t.state is TaskState.DONE)
-        dead_entry = heap.insert(make_task(0), 0.9, 0.0)
-        stale_task = make_task(1)
-        heap.insert(stale_task, 0.8, 0.0)
-        live = heap.insert(make_task(2), 0.1, 0.0)
-        dead_entry.dead = True
-        stale_task.state = TaskState.DONE
-        assert heap.best() is live
-        assert len(heap) == 1
-
 
 @given(
     st.lists(

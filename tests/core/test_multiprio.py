@@ -208,10 +208,6 @@ class TestEndToEnd:
         with pytest.raises(ValidationError):
             MultiPrio(locality_eps=1.5)
         with pytest.raises(ValidationError):
-            MultiPrio(max_tries=0)
-        with pytest.raises(ValidationError):
-            MultiPrio(brw_safety=0.0)
-        with pytest.raises(ValidationError):
             MultiPrio(slowdown_cap=-1.0)
 
 

@@ -77,12 +77,10 @@ class TestBasics:
         assert fill(5) != fill(6)  # different stream, different draws
 
     def test_purge_stale_spans_sub_heaps(self):
-        heap = RelaxedTaskHeap(4, is_stale=lambda t: t.state is TaskState.DONE)
-        tasks = [make_task(i) for i in range(12)]
-        for i, t in enumerate(tasks):
-            heap.insert(t, i / 12, 0.0)
-        for t in tasks[::2]:
-            t.state = TaskState.DONE
+        heap = RelaxedTaskHeap(4)
+        entries = [heap.insert(make_task(i), i / 12, 0.0) for i in range(12)]
+        for e in entries[::2]:
+            e.dead = True
         assert heap.purge_stale() == 6
         assert len(heap) == 6
         heap.check_invariants()

@@ -6,7 +6,6 @@ from repro.analysis.validation import check_schedule
 from repro.check.differential import fingerprint
 from repro.extensions.energy import (
     ArchPower,
-    EdpMultiPrio,
     EnergyAwareMultiPrio,
     PowerModel,
     energy_of_result,
@@ -151,17 +150,13 @@ class TestEnergyAwareScheduler:
         assert EnergyAwareMultiPrio().name == "multiprio-energy"
         assert type(make_scheduler("multiprio-energy")) is EnergyAwareMultiPrio
 
-    def test_invalid_relax(self):
-        with pytest.raises(Exception):
-            EnergyAwareMultiPrio(energy_relax=0.0)
-
     def test_invalid_objective(self):
         with pytest.raises(Exception):
             EnergyAwareMultiPrio(objective="latency")
 
-    @pytest.mark.parametrize("cls", [EnergyAwareMultiPrio, EdpMultiPrio])
+    @pytest.mark.parametrize("objective", ["energy", "edp"])
     def test_neutral_watts_is_bit_identical_to_multiprio(
-        self, hetero_machine, cls
+        self, hetero_machine, objective
     ):
         """Differential pin: with equal watts everywhere the relaxation
         can never fire (a slower worker never wins δ·P or δ²·P), so the
@@ -182,17 +177,21 @@ class TestEnergyAwareScheduler:
             )
             return fingerprint(sim.run(program))
 
-        assert run(cls(power=neutral)) == run(make_scheduler("multiprio"))
+        assert run(
+            EnergyAwareMultiPrio(power=neutral, objective=objective)
+        ) == run(make_scheduler("multiprio"))
 
 
 class TestEdpMultiPrio:
     def test_registry_name(self):
-        assert EdpMultiPrio().name == "multiprio-edp"
-        assert EdpMultiPrio().objective == "edp"
-        assert type(make_scheduler("multiprio-edp")) is EdpMultiPrio
+        sched = make_scheduler("multiprio-edp")
+        assert type(sched) is EnergyAwareMultiPrio
+        assert sched.name == "multiprio-edp"
+        assert sched.objective == "edp"
 
     def test_objective_kwarg_equivalence(self):
-        assert EnergyAwareMultiPrio(objective="edp").objective == "edp"
+        assert EnergyAwareMultiPrio(objective="edp").name == "multiprio-edp"
+        assert EnergyAwareMultiPrio().objective == "energy"
 
     def test_edp_is_at_most_as_aggressive_as_energy(self, hetero_machine):
         """δ²·P improves only if δ·P does (whenever the lean worker is
@@ -208,4 +207,5 @@ class TestEdpMultiPrio:
                 res.exec_time_by_arch.values()
             )
 
-        assert cpu_share(EdpMultiPrio()) <= cpu_share(EnergyAwareMultiPrio()) + 1e-12
+        edp = cpu_share(EnergyAwareMultiPrio(objective="edp"))
+        assert edp <= cpu_share(EnergyAwareMultiPrio()) + 1e-12

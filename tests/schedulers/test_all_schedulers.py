@@ -8,17 +8,15 @@ from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import TaskFlow
 from repro.runtime.task import AccessMode
 from repro.schedulers.registry import make_scheduler, scheduler_names
-from tests.conftest import make_chain_program, make_fork_join_program
-
-ALL = scheduler_names()
+from tests.conftest import SCHEDULER_CONFIGS, make_chain_program, make_fork_join_program
 
 
-@pytest.mark.parametrize("name", ALL)
-def test_fork_join_is_feasible(name, hetero_machine):
+@pytest.mark.parametrize("name,params", SCHEDULER_CONFIGS)
+def test_fork_join_is_feasible(name, params, hetero_machine):
     program = make_fork_join_program(width=12)
     sim = Simulator(
         hetero_machine.platform(),
-        make_scheduler(name),
+        make_scheduler(name, **params),
         AnalyticalPerfModel(hetero_machine.calibration()),
         seed=1,
     )
@@ -26,12 +24,12 @@ def test_fork_join_is_feasible(name, hetero_machine):
     check_schedule(program, res.trace, sim.platform.workers)
 
 
-@pytest.mark.parametrize("name", ALL)
-def test_chain_is_feasible(name, hetero_machine):
+@pytest.mark.parametrize("name,params", SCHEDULER_CONFIGS)
+def test_chain_is_feasible(name, params, hetero_machine):
     program = make_chain_program(n=8)
     sim = Simulator(
         hetero_machine.platform(),
-        make_scheduler(name),
+        make_scheduler(name, **params),
         AnalyticalPerfModel(hetero_machine.calibration()),
         seed=1,
     )
@@ -39,8 +37,8 @@ def test_chain_is_feasible(name, hetero_machine):
     check_schedule(program, res.trace, sim.platform.workers)
 
 
-@pytest.mark.parametrize("name", ALL)
-def test_arch_restricted_tasks_land_correctly(name, two_gpu_machine):
+@pytest.mark.parametrize("name,params", SCHEDULER_CONFIGS)
+def test_arch_restricted_tasks_land_correctly(name, params, two_gpu_machine):
     """CPU-only and GPU-only tasks must run on the right units under
     every policy."""
     flow = TaskFlow()
@@ -51,7 +49,7 @@ def test_arch_restricted_tasks_land_correctly(name, two_gpu_machine):
     program = flow.program()
     sim = Simulator(
         two_gpu_machine.platform(),
-        make_scheduler(name),
+        make_scheduler(name, **params),
         AnalyticalPerfModel(two_gpu_machine.calibration()),
         seed=2,
     )
@@ -59,13 +57,13 @@ def test_arch_restricted_tasks_land_correctly(name, two_gpu_machine):
     check_schedule(program, res.trace, sim.platform.workers)
 
 
-@pytest.mark.parametrize("name", ALL)
-def test_cpu_only_platform(name, cpu_machine):
+@pytest.mark.parametrize("name,params", SCHEDULER_CONFIGS)
+def test_cpu_only_platform(name, params, cpu_machine):
     """Every policy must work on a homogeneous machine (|A| = 1)."""
     program = make_fork_join_program(width=6)
     sim = Simulator(
         cpu_machine.platform(),
-        make_scheduler(name),
+        make_scheduler(name, **params),
         AnalyticalPerfModel(cpu_machine.calibration()),
         seed=3,
     )

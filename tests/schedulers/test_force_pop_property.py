@@ -16,8 +16,8 @@ from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import Worker
 from repro.schedulers.base import Scheduler
-from repro.schedulers.registry import make_scheduler, scheduler_names
-from tests.conftest import make_fork_join_program
+from repro.schedulers.registry import make_scheduler
+from tests.conftest import SCHEDULER_CONFIGS, make_fork_join_program
 
 
 class Reluctant(Scheduler):
@@ -49,12 +49,12 @@ class Reluctant(Scheduler):
         return self.inner.stats()
 
 
-@pytest.mark.parametrize("name", scheduler_names())
-def test_forced_pops_still_complete_the_program(name, hetero_machine):
+@pytest.mark.parametrize("name,params", SCHEDULER_CONFIGS)
+def test_forced_pops_still_complete_the_program(name, params, hetero_machine):
     program = make_fork_join_program(width=8)
     sim = Simulator(
         hetero_machine.platform(),
-        Reluctant(make_scheduler(name)),
+        Reluctant(make_scheduler(name, **params)),
         AnalyticalPerfModel(hetero_machine.calibration()),
         seed=0,
     )

@@ -84,14 +84,6 @@ class TestParameterizedRegistry:
         with pytest.raises(ValidationError, match="unknown scheduler"):
             make_scheduler("no-such-policy")
 
-    def test_ablation_alias_equals_explicit_params(self, program, machine):
-        alias = SimSpec(machine, "multiprio-noevict").run(program)
-        explicit = SimSpec(
-            machine, "multiprio", sched_params={"eviction": False}
-        ).run(program)
-        assert alias.makespan == explicit.makespan
-        assert alias.bytes_transferred == explicit.bytes_transferred
-
     def test_register_requires_override_to_replace(self):
         name = "facade-test-sched"
         register_scheduler(name, MultiPrio)

@@ -133,15 +133,32 @@ def test_cluster_experiment(tmp_path, capsys):
     assert {r["policy"] for r in doc["rows"]} == {"random", "locality-aware"}
 
 
-@pytest.mark.parametrize("name, flags", [
+@pytest.mark.parametrize("name, flags, n_rows", [
     pytest.param(
-        "stream", ["--n-jobs", "2", "--rates", "60", "--schedulers", "multiprio"],
+        "stream", ["--n-jobs", "2", "--rates", "60", "--schedulers", "multiprio"], 1,
         id="stream",
     ),
-    pytest.param("faults", [], id="faults"),
+    pytest.param("faults", [], 1, id="faults"),
+    pytest.param(
+        "overload", ["--multipliers", "1", "--tenants", "2", "--n-jobs", "2"], 2,
+        id="overload",
+    ),
+    pytest.param(
+        "rt", ["--multipliers", "1", "--schedulers", "multiprio",
+               "--tenants", "2", "--n-jobs", "2"], 1,
+        id="rt",
+    ),
+    pytest.param(
+        "energy", ["--schedulers", "multiprio", "--energy-caps", "0.6",
+                   "--tenants", "2", "--n-jobs", "2"], 2,
+        id="energy",
+    ),
 ])
-def test_sweep_honours_check_invariants(name, flags, monkeypatch, capsys, tmp_path):
-    """``--check-invariants`` must reach every cell's engine run."""
+def test_sweep_honours_check_invariants(
+    name, flags, n_rows, monkeypatch, capsys, tmp_path
+):
+    """``--check-invariants`` and ``REPRO_CHECK_INVARIANTS=1`` must each
+    reach every cell's engine run."""
     monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
     calls = []
     begin_run = InvariantChecker.begin_run
@@ -162,13 +179,22 @@ def test_sweep_honours_check_invariants(name, flags, monkeypatch, capsys, tmp_pa
     report = tmp_path / "report.json"
     assert main(["experiment", name, *flags, "--check-invariants",
                  "--json", str(report)]) == 0
-    assert len(calls) >= (3 if name == "faults" else 1)
+    n_checked = len(calls)
+    assert n_checked >= (3 if name == "faults" else 1)
     doc = json.loads(report.read_text())
     assert doc["experiment"] == name
-    assert len(doc["rows"]) == 1
+    assert len(doc["rows"]) == n_rows
     if name == "faults":
         assert len(doc["killed_rows"]) == 1
         assert doc["seed"] == 0 and doc["kill_spec"] == [[6, 10_000.0]]
+    # Under the variable, the flag must not add a single checked run.
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    calls.clear()
+    assert main(["experiment", name, *flags]) == 0
+    n_env = len(calls)
+    calls.clear()
+    assert main(["experiment", name, *flags, "--check-invariants"]) == 0
+    assert n_env == len(calls) >= n_checked
 
 
 def test_unknown_scheduler_rejected(capsys):
