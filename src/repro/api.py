@@ -36,7 +36,7 @@ from repro.runtime.engine import SimResult, Simulator
 from repro.runtime.faults import FaultModel
 from repro.runtime.overhead import SchedOverheadModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
-from repro.runtime.power import ArchPower, PowerModel, PowerStateModel
+from repro.runtime.power import PowerStateModel
 from repro.runtime.resources import ResourceProtocol
 from repro.runtime.stf import Program
 from repro.schedulers.base import Scheduler
@@ -51,12 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.perfmodel import PerfModel
     from repro.workload.results import StreamResult
     from repro.workload.stream import JobStream
-
-#: Coarse draw charged to architectures the power model does not cover
-#: when attributing per-job energy (an explicit opt-in — the model
-#: itself raises ``KeyError`` on unknown architectures).
-_GENERIC_DRAW = ArchPower(busy_watts=50.0, idle_watts=10.0)
-
 
 @dataclass
 class SimConfig:
@@ -257,7 +251,7 @@ class SimSpec:
         ``result.control`` carries the admission outcome.
         """
         from repro.workload.merge import merge_stream
-        from repro.workload.results import JobResult, StreamResult
+        from repro.workload.results import StreamResult, assemble_jobs, isolated_makespans
 
         cfg = self.config
         mach = self._machine()
@@ -277,61 +271,10 @@ class SimSpec:
 
         isolated: dict[int, float] = {}
         if self.isolated_baseline:
-            for job in stream.jobs:
-                if completed is not None and job.jid not in completed:
-                    continue
-                key = id(job.program)
-                if key not in isolated:
-                    isolated[key] = _build_simulator(
-                        cfg, mach, self.scheduler
-                    ).run(job.program).makespan
-
-        # Per-job busy-energy attribution: with the power subsystem on
-        # (``config.power``) the engine stamped state-aware joules per
-        # task; otherwise joules derive from each task's execution span
-        # at its worker's busy watts. Architectures outside the power
-        # model fall back to an explicit generic 50 W draw so exotic
-        # platforms still report comparable (if coarse) numbers.
-        arch_power = cfg.power.power if cfg.power is not None else PowerModel()
-        watts_of = {
-            w.wid: arch_power.arch_power(
-                w.arch, default=_GENERIC_DRAW
-            ).busy_watts
-            for w in mach.platform().workers
-        }
-
-        job_of = {j.jid: j for j in stream.jobs}
-        jobs: list[JobResult] = []
-        for span in merged.jobs:
-            if completed is not None and span.jid not in completed:
-                continue
-            records = []
-            joules = 0.0
-            for tid in range(span.first_tid, span.first_tid + span.n_tasks):
-                sched = merged.tasks[tid].sched
-                rec = sched["_record"]
-                records.append(rec)
-                ej = sched.get("_energy_j")
-                if ej is None:
-                    ej = (rec[3] - rec[2]) * watts_of[rec[0]] * 1e-6
-                joules += ej
-            job = job_of[span.jid]
-            jobs.append(JobResult(
-                jid=span.jid,
-                name=span.name,
-                tenant=span.tenant,
-                arrival_us=span.arrival_us,
-                start_us=min(r[2] for r in records),
-                end_us=max(r[3] for r in records),
-                n_tasks=span.n_tasks,
-                isolated_us=isolated.get(id(job.program)),
-                deadline_us=(
-                    span.deadline_us
-                    if span.deadline_us != float("inf")
-                    else None
-                ),
-                energy_j=joules,
-            ))
+            done = [j for j in stream.jobs if completed is None or j.jid in completed]
+            baselines = [(j.jid, mach.name, mach, j.program) for j in done]
+            isolated = isolated_makespans(baselines, self.scheduler, cfg)
+        jobs = assemble_jobs(merged, mach, cfg, isolated=isolated, keep=completed)
         control_result = None
         if plane is not None:
             from repro.control.result import ControlResult

@@ -584,14 +584,18 @@ def check_cluster_single_node_equivalence(
     sub-stream is the whole stream. The per-node engine must therefore
     reproduce the plain stream run exactly — same task placements and
     timings, same makespan, same intra-node traffic, same per-job
-    latencies and isolated baselines. Any divergence means the cluster
+    results field for field (the stream is deadline-tagged and the
+    power subsystem is on, so deadlines, misses and busy energy are
+    compared too). Any divergence means the cluster
     path perturbed the engine configuration or the merged program.
     """
     from repro.api import SimConfig, SimSpec
     from repro.cluster.spec import star_cluster
+    from repro.runtime.power import PowerStateModel
     from repro.workload.stream import poisson_stream
 
     out = []
+    power = PowerStateModel()
     for scheduler in schedulers:
         stream = poisson_stream(
             [lambda: cholesky_program(4, 512), lambda: lu_program(4, 512)],
@@ -599,35 +603,33 @@ def check_cluster_single_node_equivalence(
             n_jobs=6,
             seed=5,
             tenants=("t0", "t1"),
+            deadline=7_000.0,
         )
         plain = SimSpec(
-            machine, scheduler, config=SimConfig(record_trace=True)
+            machine, scheduler, config=SimConfig(record_trace=True, power=power)
         ).run_stream(stream)
         assert plain.sim.trace is not None
         plain_records = tuple(sorted(
             (r.tid, r.worker, r.start, r.end)
             for r in plain.sim.trace.task_records
         ))
-        clustered = SimSpec(machine, scheduler).run_cluster(
+        clustered = SimSpec(machine, scheduler, power=power).run_cluster(
             stream, star_cluster(1, machine)
         )
         node_sim = clustered.node_sims["node0"]
-        cluster_records = clustered._task_records["node0"]  # type: ignore[attr-defined]
+        cluster_records = clustered._task_records["node0"]
         out.append(CheckOutcome(
             f"cluster.single_node[{scheduler}]",
             (plain_records, plain.sim.makespan, plain.sim.bytes_transferred)
             == (cluster_records, node_sim.makespan, node_sim.bytes_transferred),
             "a 1-node cluster diverged from run_stream at task level",
         ))
-        plain_jobs = [
-            (j.jid, j.start_us, j.end_us, j.isolated_us) for j in plain.jobs
-        ]
-        cluster_jobs = [
-            (j.jid, j.start_us, j.end_us, j.isolated_us) for j in clustered.jobs
-        ]
+        cluster_jobs = [j.as_dict() for j in clustered.jobs]
+        for job in cluster_jobs:
+            del job["node"]
         out.append(CheckOutcome(
             f"cluster.single_node_jobs[{scheduler}]",
-            plain_jobs == cluster_jobs,
+            [j.as_dict() for j in plain.jobs] == cluster_jobs,
             "a 1-node cluster reported different per-job results than "
             "run_stream",
         ))

@@ -5,10 +5,11 @@
 :class:`CrossTransfer` charges, fixed-point convergence), per-node
 rollups (:class:`NodeStats` with utilization against the cluster-wide
 horizon, plus the full per-node
-:class:`~repro.runtime.engine.SimResult`), and the same per-job stream
-metrics :class:`~repro.workload.results.StreamResult` reports —
-latency, queueing, slowdown-vs-isolated, Jain fairness — so cluster
-and single-node experiments read identically.
+:class:`~repro.runtime.engine.SimResult`), and the per-job results and
+aggregates of :class:`~repro.workload.results.StreamResult` —
+latency, queueing, slowdown-vs-isolated, Jain fairness, deadline
+misses, busy energy — built by the same code, so cluster and
+single-node experiments read identically.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.analysis.stats import jain_fairness_index, percentile
-from repro.workload.results import JobResult
+from repro.workload.results import JobAggregates, JobResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import SimResult
@@ -125,8 +125,15 @@ class NodeStats:
 
 
 @dataclass
-class ClusterResult:
-    """Outcome of one :func:`~repro.cluster.sim.simulate_cluster` run."""
+class ClusterResult(JobAggregates):
+    """Outcome of one :func:`~repro.cluster.sim.simulate_cluster` run.
+
+    ``jobs`` are built per node by the same
+    :func:`~repro.workload.results.assemble_jobs` as a single-node
+    stream run, and every per-job aggregate (latency, slowdown,
+    fairness, deadline misses, energy, per-tenant rollups) comes from
+    :class:`~repro.workload.results.JobAggregates`.
+    """
 
     cluster_name: str
     policy: str
@@ -145,6 +152,8 @@ class ClusterResult:
     link_stats: tuple[dict, ...]
     #: Full per-node engine results, keyed by node name.
     node_sims: dict[str, "SimResult"] = field(repr=False, default_factory=dict)
+    #: Per-node ``(tid, wid, start, end)`` task records, in tid order.
+    _task_records: dict[str, tuple] = field(repr=False, default_factory=dict)
 
     # -- cluster-level aggregates ---------------------------------------
 
@@ -178,57 +187,6 @@ class ClusterResult:
     def total_inter_node_bytes(self) -> int:
         """Bytes charged to the fabric (each hop counted once)."""
         return sum(int(s["bytes_moved"]) for s in self.link_stats)
-
-    # -- stream-style per-job aggregates --------------------------------
-
-    @property
-    def throughput_jobs_per_s(self) -> float:
-        """Completed jobs per second of virtual time."""
-        if self.makespan_us <= 0:
-            return 0.0
-        return len(self.jobs) / (self.makespan_us * 1e-6)
-
-    @property
-    def mean_latency_us(self) -> float:
-        if not self.jobs:
-            return 0.0
-        return sum(j.latency_us for j in self.jobs) / len(self.jobs)
-
-    @property
-    def p95_latency_us(self) -> float:
-        return percentile([j.latency_us for j in self.jobs], 0.95)
-
-    @property
-    def mean_queueing_us(self) -> float:
-        if not self.jobs:
-            return 0.0
-        return sum(j.queueing_us for j in self.jobs) / len(self.jobs)
-
-    @property
-    def slowdowns(self) -> list[float] | None:
-        """Per-job slowdowns, or ``None`` when baselines were skipped."""
-        vals = [j.slowdown for j in self.jobs]
-        if any(v is None for v in vals):
-            return None
-        return vals  # type: ignore[return-value]
-
-    @property
-    def mean_slowdown(self) -> float | None:
-        vals = self.slowdowns
-        return sum(vals) / len(vals) if vals else None
-
-    @property
-    def max_slowdown(self) -> float | None:
-        vals = self.slowdowns
-        return max(vals) if vals else None
-
-    @property
-    def fairness(self) -> float:
-        """Jain index over slowdowns (latencies without baselines)."""
-        vals = self.slowdowns
-        if vals is None:
-            vals = [j.latency_us for j in self.jobs]
-        return jain_fairness_index(vals)
 
     def jobs_on(self, node: str) -> list[ClusterJobResult]:
         """Completed jobs placed on the named node."""

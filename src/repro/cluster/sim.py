@@ -31,10 +31,13 @@ on a multi-node :class:`~repro.cluster.topology.Cluster`:
    ``max_rounds`` caps it and the result records ``converged``).
    Streams without cross-node chains finish in one round.
 
-A single-node cluster degenerates to exactly
-:meth:`~repro.api.SimSpec.run_stream`: same merged program, same engine
-configuration, bit-identical schedule — the equivalence the
-``repro check`` differential suite enforces.
+Per-job results come from :meth:`~repro.api.SimSpec.run_stream`'s code
+(:func:`~repro.workload.results.assemble_jobs` per node run,
+:func:`~repro.workload.results.isolated_makespans` per placed job), so
+a single-node cluster degenerates to exactly ``run_stream``: same
+merged program, same engine configuration, bit-identical schedule and
+per-job results — the equivalence the ``repro check`` differential
+suite enforces.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from repro.runtime.stf import Program
 from repro.sweep import CallSpec, run_tasks
 from repro.utils.validation import ValidationError
 from repro.workload.merge import merge_stream
+from repro.workload.results import assemble_jobs, isolated_makespans
 from repro.workload.stream import Job, JobStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -126,7 +130,8 @@ def _node_cell(
 
     ``releases`` maps jid → earliest release (≥ the job's arrival) as
     imposed by cross-node dependency arrivals; the job's tasks' release
-    times are raised accordingly before the run.
+    times are raised accordingly before the run. ``job_records`` maps
+    jid → :class:`ClusterJobResult` (``isolated_us`` is set later).
     """
     stream = JobStream(name=stream_name, jobs=jobs)
     merged = merge_stream(stream)
@@ -144,32 +149,16 @@ def _node_cell(
         # validation — the engine's reveal loop handles any values.
         merged.release_times = tuple(adjusted)
     res = _build_simulator(cfg, machine, scheduler).run(merged)
-    job_records: dict[int, tuple[float, float]] = {}
-    task_records: list[tuple[int, int, float, float]] = []
-    for span in merged.jobs:
-        recs = [
-            merged.tasks[tid].sched["_record"]
-            for tid in range(span.first_tid, span.first_tid + span.n_tasks)
-        ]
-        job_records[span.jid] = (
-            min(r[2] for r in recs), max(r[3] for r in recs)
-        )
-        task_records.extend(
-            (span.first_tid + i, r[0], r[2], r[3]) for i, r in enumerate(recs)
-        )
+    done = assemble_jobs(merged, machine, cfg, cls=ClusterJobResult, node=node_name)
     return {
         "node": node_name,
         "sim": res,
-        "job_records": job_records,
-        "task_records": tuple(sorted(task_records)),
+        "job_records": {job.jid: job for job in done},
+        "task_records": tuple(
+            (tid, r[0], r[2], r[3])
+            for tid, r in enumerate(t.sched["_record"] for t in merged.tasks)
+        ),
     }
-
-
-def _baseline_cell(
-    machine: MachineModel, program: Program, scheduler: str, cfg: SimConfig
-) -> float:
-    """Isolated makespan of one program on one node."""
-    return _build_simulator(cfg, machine, scheduler).run(program).makespan
 
 
 # -- the facade -------------------------------------------------------------
@@ -372,10 +361,9 @@ def simulate_cluster(
         if not cross_edges:
             converged = True
             break
-        completion: dict[int, float] = {}
-        for payload in outcomes:
-            for jid, (_, end) in payload["job_records"].items():
-                completion[jid] = end
+        completion = {
+            jid: job.end_us for p in outcomes for jid, job in p["job_records"].items()
+        }
         clus.reset_runtime_state()
         transfers = []
         changed = False
@@ -396,23 +384,11 @@ def simulate_cluster(
             converged = True
 
     # -- isolated baselines (on each job's placed node) ------------------
+    placed = [(job, placements[job.jid].node) for job in admitted]
     isolated: dict[int, float] = {}
-    if isolated_baseline and admitted:
-        keys: list[tuple[str, int]] = []
-        cells = []
-        for job in admitted:
-            node = placements[job.jid].node
-            key = (node, id(job.program))
-            if key not in keys:
-                keys.append(key)
-                cells.append(CallSpec(
-                    _baseline_cell,
-                    (clus.machine_of(node), job.program, scheduler, cfg),
-                ))
-        makespans = run_tasks(cells, jobs=jobs, progress=progress)
-        by_key = dict(zip(keys, makespans))
-        for job in admitted:
-            isolated[job.jid] = by_key[(placements[job.jid].node, id(job.program))]
+    if isolated_baseline:
+        baselines = [(j.jid, node, clus.machine_of(node), j.program) for j, node in placed]
+        isolated = isolated_makespans(baselines, scheduler, cfg, jobs=jobs, progress=progress)
 
     # -- assembly --------------------------------------------------------
     node_sims = {n: p["sim"] for n, p in payload_by_node.items()}
@@ -442,21 +418,10 @@ def simulate_cluster(
             utilization=busy / horizon if horizon > 0 else 0.0,
         ))
 
-    job_results: list[ClusterJobResult] = []
-    for job in admitted:
-        node = placements[job.jid].node
-        start, end = payload_by_node[node]["job_records"][job.jid]
-        job_results.append(ClusterJobResult(
-            jid=job.jid,
-            name=job.name or job.program.name,
-            tenant=job.tenant,
-            arrival_us=job.arrival_us,
-            start_us=start,
-            end_us=end,
-            n_tasks=len(job.program),
-            isolated_us=isolated.get(job.jid),
-            node=node,
-        ))
+    job_results = [
+        replace(payload_by_node[node]["job_records"][job.jid], isolated_us=isolated.get(job.jid))
+        for job, node in placed
+    ]
 
     result = ClusterResult(
         cluster_name=clus.name,
@@ -472,10 +437,8 @@ def simulate_cluster(
         events=tuple(events),
         link_stats=clus.link_stats(),
         node_sims=node_sims,
+        _task_records={n: p["task_records"] for n, p in payload_by_node.items()},
     )
-    result._task_records = {  # type: ignore[attr-defined]
-        n: p["task_records"] for n, p in payload_by_node.items()
-    }
     _maybe_check(result, cfg, len(stream.jobs))
     return result
 

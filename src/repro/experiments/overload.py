@@ -26,6 +26,7 @@ from typing import Callable, ClassVar, Sequence
 from repro.analysis.stats import percentile
 from repro.api import SimConfig, SimSpec
 from repro.apps.dense import cholesky_program
+from repro.cluster.sim import job_work_us
 from repro.control.plane import default_overload_config
 from repro.experiments.reporting import format_table
 from repro.platform.machines import MACHINES
@@ -44,17 +45,17 @@ def estimate_job_cost_us(
 ) -> float:
     """One job's work in µs: Σ over its tasks of the best-arch estimate.
 
-    The same costing the control plane itself applies, so quotas derived
-    from this number are exact in expectation.
+    The same costing the control plane and the cluster tier apply
+    (:func:`~repro.cluster.sim.job_work_us`), so quotas derived from
+    this number are exact in expectation.
     """
     mach = MACHINES[machine]()
     platform = mach.platform()
-    pm = AnalyticalPerfModel(mach.calibration())
-    archs = [a for a in platform.archs if platform.n_workers(a) > 0]
-    program = cholesky_program(n_tiles, tile_size)
-    return sum(
-        min(pm.estimate(t, a) for a in archs if t.can_exec(a))
-        for t in program.tasks
+    archs = tuple(a for a in platform.archs if platform.n_workers(a) > 0)
+    return job_work_us(
+        cholesky_program(n_tiles, tile_size),
+        AnalyticalPerfModel(mach.calibration()),
+        archs,
     )
 
 

@@ -1,25 +1,41 @@
 """Per-job and per-tenant outcomes of a simulated stream.
 
-:class:`JobResult` is derived from the merged run's task records (no
-trace or observability needed): when the job's first task started, when
-its last task finished, and — when isolated baselines were run — the
-job's slowdown against having the machine to itself.
+:func:`assemble_jobs` derives each :class:`JobResult` from the merged
+run's task records (no trace or observability needed): when the job's
+first task started, when its last task finished, its busy joules, and —
+with :func:`isolated_makespans` baselines — its slowdown against having
+the machine to itself. Stream runs and the cluster's per-node runs
+share both.
 
-:class:`StreamResult` aggregates: mean/p95 latency, slowdown spread,
-Jain's fairness index over per-job slowdowns (latencies when baselines
-are off), throughput, and per-tenant rollups.
+:class:`JobAggregates` holds the aggregates of :class:`StreamResult`
+and :class:`~repro.cluster.result.ClusterResult`: mean/p95 latency,
+slowdown spread, Jain's fairness index over per-job slowdowns
+(latencies when baselines are off), throughput, deadline misses,
+energy and per-tenant rollups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.analysis.stats import jain_fairness_index, percentile
+from repro.api import SimConfig, _build_simulator
+from repro.runtime.power import ArchPower, PowerModel
+from repro.sweep import CallSpec, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.result import ControlResult
+    from repro.platform.machines import MachineModel
     from repro.runtime.engine import SimResult
+    from repro.runtime.stf import Program
+    from repro.schedulers.base import Scheduler
+    from repro.workload.merge import StreamProgram
+
+#: Coarse draw charged to architectures the power model does not cover
+#: when attributing per-job energy (an explicit opt-in — the model
+#: itself raises ``KeyError`` on unknown architectures).
+_GENERIC_DRAW = ArchPower(busy_watts=50.0, idle_watts=10.0)
 
 
 @dataclass(frozen=True)
@@ -113,33 +129,95 @@ class JobResult:
         }
 
 
-def _p95(values: list[float]) -> float:
-    """Nearest-rank p95, safe on empty/singleton inputs (0.0 when empty)."""
-    return percentile(values, 0.95)
+def assemble_jobs(
+    merged: "StreamProgram",
+    machine: "MachineModel",
+    cfg: SimConfig,
+    *,
+    isolated: dict[int, float] | None = None,
+    keep: set[int] | None = None,
+    cls: type[JobResult] = JobResult,
+    **extra: Any,
+) -> list[JobResult]:
+    """One ``cls(**extra)`` per job span of a finished run of ``merged``.
 
-
-@dataclass
-class StreamResult:
-    """Outcome of one stream simulation: per-job results + the raw run.
-
-    ``jobs`` holds the *completed* jobs only — under a control plane
-    (``control`` is then set) rejected and evicted jobs never finish, so
-    an all-rejected run carries an empty list. Every aggregate below is
-    defined (and NaN-free) for any job count, including zero.
+    Spans come in order, restricted to the jids in ``keep`` when given;
+    ``isolated`` maps jid to isolated makespan. Busy joules are the
+    engine-stamped per-task energy when ``cfg.power`` is on; otherwise
+    each task's execution span at its worker's busy watts, with an
+    explicit generic draw for architectures outside the power model.
     """
+    arch_power = cfg.power.power if cfg.power is not None else PowerModel()
+    watts_of = {
+        w.wid: arch_power.arch_power(w.arch, default=_GENERIC_DRAW).busy_watts
+        for w in machine.platform().workers
+    }
+    isolated = isolated or {}
+    jobs: list[JobResult] = []
+    for span in merged.jobs:
+        if keep is not None and span.jid not in keep:
+            continue
+        scheds = [t.sched for t in merged.tasks[span.first_tid:span.first_tid + span.n_tasks]]
+        records = [sched["_record"] for sched in scheds]
+        joules = 0.0
+        for sched, rec in zip(scheds, records):
+            ej = sched.get("_energy_j")
+            joules += ej if ej is not None else (rec[3] - rec[2]) * watts_of[rec[0]] * 1e-6
+        jobs.append(cls(
+            jid=span.jid,
+            name=span.name,
+            tenant=span.tenant,
+            arrival_us=span.arrival_us,
+            start_us=min(r[2] for r in records),
+            end_us=max(r[3] for r in records),
+            n_tasks=span.n_tasks,
+            isolated_us=isolated.get(span.jid),
+            deadline_us=span.deadline_us if span.deadline_us != float("inf") else None,
+            energy_j=joules,
+            **extra,
+        ))
+    return jobs
 
-    stream_name: str
-    machine: str
-    scheduler: str
-    jobs: list[JobResult]
-    sim: "SimResult" = field(repr=False)
-    #: Admission/eviction outcome; ``None`` for uncontrolled runs.
-    control: "ControlResult | None" = None
 
-    @property
-    def makespan_us(self) -> float:
-        """Completion time of the whole merged run."""
-        return self.sim.makespan
+def _isolated_makespan(
+    machine: "MachineModel", program: "Program", scheduler: "Scheduler | str", cfg: SimConfig
+) -> float:
+    """Makespan of ``program`` alone on ``machine`` (one baseline cell)."""
+    return _build_simulator(cfg, machine, scheduler).run(program).makespan
+
+
+def isolated_makespans(
+    placed: list[tuple[int, str, "MachineModel", "Program"]],
+    scheduler: "Scheduler | str",
+    cfg: SimConfig,
+    *,
+    jobs: int = 1,
+    progress: Callable[[int, int], None] | None = None,
+) -> dict[int, float]:
+    """Isolated makespan of every ``(jid, node, machine, program)`` job.
+
+    One baseline runs per distinct (node, program object), in
+    first-seen order, through :func:`repro.sweep.run_tasks` (``jobs``
+    and ``progress`` as there); jobs sharing both share its makespan.
+    """
+    cells: dict[tuple[str, int], CallSpec] = {}
+    for _, node, machine, program in placed:
+        if (node, id(program)) not in cells:
+            cells[node, id(program)] = CallSpec(
+                _isolated_makespan, (machine, program, scheduler, cfg)
+            )
+    makespans = run_tasks(list(cells.values()), jobs=jobs, progress=progress)
+    by_key = dict(zip(cells, makespans))
+    return {jid: by_key[node, id(program)] for jid, node, _, program in placed}
+
+
+class JobAggregates:
+    """Aggregates over completed per-job results.
+
+    Subclasses provide ``jobs`` (a list of :class:`JobResult`) and
+    ``makespan_us``. Every aggregate is defined (and NaN-free) for any
+    job count, including zero.
+    """
 
     @property
     def throughput_jobs_per_s(self) -> float:
@@ -156,7 +234,7 @@ class StreamResult:
 
     @property
     def p95_latency_us(self) -> float:
-        return _p95([j.latency_us for j in self.jobs])
+        return percentile([j.latency_us for j in self.jobs], 0.95)
 
     @property
     def p99_latency_us(self) -> float:
@@ -205,17 +283,6 @@ class StreamResult:
         return sum(j.energy_j or 0.0 for j in self.jobs)
 
     @property
-    def total_energy_j(self) -> float | None:
-        """Whole-run joules, idle draw included.
-
-        Requires the engine's power subsystem (``SimConfig(power=...)``)
-        — reads ``sim.energy``; ``None`` otherwise (use
-        :attr:`jobs_energy_j` for the attribution-only busy total).
-        """
-        energy = self.sim.energy
-        return energy.total_j if energy is not None else None
-
-    @property
     def mean_edp_j_s(self) -> float:
         """Mean per-job energy-delay product, J·s (0.0 when no job
         carries energy attribution)."""
@@ -250,16 +317,19 @@ class StreamResult:
             vals = [j.latency_us for j in self.jobs]
         return jain_fairness_index(vals)
 
+    def _by_tenant(self) -> dict[str, list[JobResult]]:
+        grouped: dict[str, list[JobResult]] = {}
+        for job in self.jobs:
+            grouped.setdefault(job.tenant, []).append(job)
+        return grouped
+
     @property
     def tenant_fairness(self) -> float:
         """Jain index over per-tenant mean slowdowns (mean latencies
         when baselines were skipped): how evenly *tenants* — rather than
-        individual jobs — shared the node. 1.0 for zero or one tenant."""
-        grouped: dict[str, list[JobResult]] = {}
-        for job in self.jobs:
-            grouped.setdefault(job.tenant, []).append(job)
+        individual jobs — shared the machine. 1.0 for zero or one tenant."""
         means: list[float] = []
-        for mine in grouped.values():
+        for mine in self._by_tenant().values():
             slows = [j.slowdown for j in mine]
             if slows and all(s is not None for s in slows):
                 means.append(sum(slows) / len(slows))  # type: ignore[arg-type]
@@ -270,11 +340,8 @@ class StreamResult:
     def per_tenant(self) -> dict[str, dict[str, float]]:
         """Per-tenant aggregates: job count, mean latency/queueing, and
         mean slowdown when baselines were run."""
-        grouped: dict[str, list[JobResult]] = {}
-        for job in self.jobs:
-            grouped.setdefault(job.tenant, []).append(job)
         out: dict[str, dict[str, float]] = {}
-        for tenant, mine in grouped.items():
+        for tenant, mine in self._by_tenant().items():
             entry = {
                 "jobs": float(len(mine)),
                 "mean_latency_us": sum(j.latency_us for j in mine) / len(mine),
@@ -296,6 +363,40 @@ class StreamResult:
                 entry["mean_edp_j_s"] = sum(edps) / len(edps)
             out[tenant] = entry
         return out
+
+
+@dataclass
+class StreamResult(JobAggregates):
+    """Outcome of one stream simulation: per-job results + the raw run.
+
+    ``jobs`` holds the *completed* jobs only — under a control plane
+    (``control`` is then set) rejected and evicted jobs never finish, so
+    an all-rejected run carries an empty list.
+    """
+
+    stream_name: str
+    machine: str
+    scheduler: str
+    jobs: list[JobResult]
+    sim: "SimResult" = field(repr=False)
+    #: Admission/eviction outcome; ``None`` for uncontrolled runs.
+    control: "ControlResult | None" = None
+
+    @property
+    def makespan_us(self) -> float:
+        """Completion time of the whole merged run."""
+        return self.sim.makespan
+
+    @property
+    def total_energy_j(self) -> float | None:
+        """Whole-run joules, idle draw included.
+
+        Requires the engine's power subsystem (``SimConfig(power=...)``)
+        — reads ``sim.energy``; ``None`` otherwise (use
+        :attr:`jobs_energy_j` for the attribution-only busy total).
+        """
+        energy = self.sim.energy
+        return energy.total_j if energy is not None else None
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready report: stream-level stats plus every job."""

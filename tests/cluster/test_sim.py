@@ -124,6 +124,24 @@ class TestDeterminism:
             (j.jid, j.start_us, j.end_us, j.isolated_us) for j in plain.jobs
         ]
 
+    def test_single_node_cluster_reports_stream_deadlines_and_energy(self):
+        from repro.runtime.power import PowerStateModel
+
+        stream = poisson_stream(
+            [lambda: cholesky_program(3, 512), lambda: lu_program(3, 512)],
+            rate_jobs_per_s=400.0, n_jobs=6, seed=3, tenants=("t0", "t1"),
+            deadline=10_000.0,
+        )
+        spec = SimSpec("small-hetero", "multiprio", power=PowerStateModel())
+        clustered = spec.run_cluster(stream, star_cluster(1))
+        plain = spec.run_stream(stream)
+        assert 0.0 < plain.deadline_miss_rate < 1.0
+        assert clustered.deadline_miss_rate == plain.deadline_miss_rate
+        assert clustered.per_tenant() == plain.per_tenant()
+        energies = [j.energy_j for j in clustered.jobs]
+        assert energies == [j.energy_j for j in plain.jobs]
+        assert all(e > 0.0 for e in energies)
+
 
 class TestCrossNodeDependencies:
     def test_chain_scattered_across_nodes_charges_the_fabric(self):

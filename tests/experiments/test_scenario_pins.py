@@ -44,7 +44,7 @@ PINS: dict[str, tuple[list[str], str, str]] = {
     "cluster": (
         ["--nodes", "2", "--placements", "random", "locality-aware"],
         "57015beac8d62559c9cbd1e92d088187",
-        "ef0e89e3fadc94bdab28b5c0944bbf6d",
+        "2587541c5d833257721ade0e371a06e5",
     ),
 }
 
