@@ -43,6 +43,12 @@ properties a correct simulator cannot violate regardless of policy:
   :class:`~repro.runtime.power.EnergyReport` total must equal
   :func:`~repro.extensions.energy.energy_of_result` on the same run,
   bit for bit.
+* **Isolated-baseline dedupe** — stream and cluster runs compute one
+  isolated baseline per job shape (keyed on
+  :attr:`~repro.runtime.stf.Program.digest`), so every job's
+  ``isolated_us`` must equal a direct run of that job's own program,
+  bit for bit, and programs that differ in a single handle size must
+  keep separate baselines.
 
 :func:`run_differential_suite` bundles these with an invariant-checked
 sweep over the built-in applications × schedulers (with and without a
@@ -636,6 +642,102 @@ def check_cluster_single_node_equivalence(
     return out
 
 
+def check_isolated_dedup(
+    machine: MachineModel,
+    schedulers: Iterable[str],
+) -> list[CheckOutcome]:
+    """One baseline per job shape must equal one direct run per job.
+
+    A two-shape, two-tenant Poisson stream with deadlines, under a
+    control plane that sheds some best-effort work and a power model,
+    runs through :meth:`~repro.api.SimSpec.run_stream` and through
+    :func:`~repro.cluster.simulate_cluster` on two nodes. Every
+    completed job's ``isolated_us`` is compared with
+    ``_isolated_makespan`` on that job's own program (on its placed
+    node's machine), run once per job: the reference never goes through
+    the deduplicating cache. Two programs that differ only in one
+    handle's size must get two baselines and their own makespans.
+    """
+    from repro.api import SimConfig, SimSpec
+    from repro.cluster.spec import star_cluster
+    from repro.cluster.topology import Cluster
+    from repro.control.plane import ControlConfig
+    from repro.control.quota import TenantQuota
+    from repro.runtime.power import PowerStateModel
+    from repro.runtime.stf import TaskFlow
+    from repro.runtime.task import AccessMode
+    from repro.workload.results import _isolated_makespan, isolated_makespans
+    from repro.workload.stream import poisson_stream
+
+    def sized(size: int) -> Program:
+        # One GPU-friendly reader: the input transfer shows in the
+        # makespan, so a shared baseline would also be a wrong one.
+        tf = TaskFlow("sized")
+        h = tf.data(size, label="h")
+        tf.submit("gemm", [(h, AccessMode.R)], flops=1e9,
+                  implementations=("cpu", "cuda"))
+        return tf.program()
+
+    cfg = SimConfig(power=PowerStateModel())
+    control = ControlConfig(quotas={"t1": TenantQuota(rate=0.05, burst=0.02)})
+    out = []
+    for scheduler in schedulers:
+        stream = poisson_stream(
+            [lambda: cholesky_program(4, 512), lambda: lu_program(4, 512)],
+            rate_jobs_per_s=80.0,
+            n_jobs=8,
+            seed=7,
+            tenants=("t0", "t1"),
+            qos=("guaranteed", "best-effort"),
+            deadline=7_000.0,
+        )
+        program_of = {job.jid: job.program for job in stream.jobs}
+        spec = SimSpec(machine, scheduler, config=cfg, control=control)
+        streamed = spec.run_stream(stream)
+        got = [j.isolated_us for j in streamed.jobs]
+        want = [
+            _isolated_makespan(machine, program_of[j.jid], scheduler, cfg)
+            for j in streamed.jobs
+        ]
+        out.append(CheckOutcome(
+            f"isolated.dedup_stream[{scheduler}]",
+            bool(got) and got == want,
+            f"run_stream baselines {got} != direct per-job runs {want}",
+        ))
+        cluster = Cluster(star_cluster(2, machine))
+        clustered = spec.run_cluster(stream, cluster)
+        got = [j.isolated_us for j in clustered.jobs]
+        want = [
+            _isolated_makespan(
+                cluster.machine_of(j.node), program_of[j.jid], scheduler, cfg
+            )
+            for j in clustered.jobs
+        ]
+        out.append(CheckOutcome(
+            f"isolated.dedup_cluster[{scheduler}]",
+            bool(got) and got == want,
+            f"cluster baselines {got} != direct per-job runs {want}",
+        ))
+
+        pair = [sized(1 << 16), sized(1 << 26)]
+        totals: list[int] = []
+        got_pair = isolated_makespans(
+            [(i, machine.name, machine, p) for i, p in enumerate(pair)],
+            scheduler, cfg, progress=lambda done, total: totals.append(total),
+        )
+        want_pair = {
+            i: _isolated_makespan(machine, p, scheduler, cfg)
+            for i, p in enumerate(pair)
+        }
+        out.append(CheckOutcome(
+            f"isolated.dedup_distinct[{scheduler}]",
+            totals[-1:] == [2] and got_pair == want_pair,
+            f"a one-handle size change shared a baseline ({totals[-1:]} "
+            f"runs, {got_pair} vs direct {want_pair})",
+        ))
+    return out
+
+
 # -- the suite -------------------------------------------------------------
 
 
@@ -689,4 +791,5 @@ def run_differential_suite(
     emit(check_cluster_single_node_equivalence(
         mach, schedulers[:1] if quick else schedulers
     ))
+    emit(check_isolated_dedup(mach, schedulers[:1] if quick else schedulers))
     return results

@@ -69,7 +69,7 @@ from repro.runtime.stf import Program
 from repro.sweep import CallSpec, run_tasks
 from repro.utils.validation import ValidationError
 from repro.workload.merge import merge_stream
-from repro.workload.results import assemble_jobs, isolated_makespans
+from repro.workload.results import assemble_jobs, isolated_makespans, program_key
 from repro.workload.stream import Job, JobStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -257,18 +257,18 @@ def simulate_cluster(
     events: list = []
 
     # Per-(node, program) work estimates, shared by admission costing and
-    # placement scoring. Cached by program identity — streams routinely
-    # reuse one program object across jobs.
+    # placement scoring. Every job brings a fresh program object, so the
+    # cache keys on program_key: the structural digest under the nodes'
+    # stable analytical models, i.e. one estimate per job shape per node.
     archs_by_node = {name: clus.archs_of(name) for name in clus.node_names}
-    work_cache: dict[tuple[str, int], float] = {}
+    work_cache: dict[tuple[str, bytes | int], float] = {}
 
     def work_on(node: str, program: Program) -> float:
-        key = (node, id(program))
+        perfmodel = clus.perfmodel_of(node)
+        key = (node, program_key(program, scheduler, perfmodel))
         cached = work_cache.get(key)
         if cached is None:
-            cached = job_work_us(
-                program, clus.perfmodel_of(node), archs_by_node[node]
-            )
+            cached = job_work_us(program, perfmodel, archs_by_node[node])
             work_cache[key] = cached
         return cached
 

@@ -13,6 +13,7 @@ writes, and the task flow derives the DAG exactly like StarPU's STF model:
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Iterable, Sequence
 
 from repro.runtime.data import DataHandle
@@ -45,6 +46,19 @@ class Program:
     make each job's tasks appear at its arrival time. Times must be
     non-negative and non-decreasing in submission order, so the dense
     ``tid < revealed`` prefix test stays valid.
+
+    :attr:`digest` is a 16-byte blake2b hash of the program's structure,
+    computed once per program object. It covers each task's ``tid``,
+    ``type_name``, ``flops``, sorted ``implementations``, ``priority``,
+    ``resources``, ``deadline_us``, accesses as ``(hid, mode)`` and
+    pred/succ tids in list order; each handle's ``hid``, ``size`` and
+    ``home_node``; and ``release_times``. It leaves out names, task
+    tags, handle labels and keys, and all run state, none of which any
+    scheduler or the engine reads. Two programs with equal digests
+    therefore simulate identically under one engine configuration, so
+    per-job results that depend only on that (isolated baselines, the
+    cluster's per-node work estimates) are computed once per job shape
+    — see :func:`repro.workload.results.program_key`.
     """
 
     def __init__(
@@ -75,6 +89,28 @@ class Program:
                     )
                 prev = t
         self.release_times = release_times
+        self._digest: bytes | None = None
+
+    @property
+    def digest(self) -> bytes:
+        """Structural digest (see the class docstring); cached."""
+        if self._digest is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(repr((len(self.tasks), len(self.handles), self.release_times)).encode())
+            h.update("".join([
+                repr((d.hid, d.size, d.home_node)) for d in self.handles
+            ]).encode())
+            h.update("".join([
+                repr((
+                    t.tid, t.type_name, t.flops, sorted(t.implementations),
+                    t.priority, t.resources, t.deadline_us,
+                    [(d.hid, int(m)) for d, m in t.accesses],
+                    [p.tid for p in t.preds], [s.tid for s in t.succs],
+                ))
+                for t in self.tasks
+            ]).encode())
+            self._digest = h.digest()
+        return self._digest
 
     def __len__(self) -> int:
         return len(self.tasks)

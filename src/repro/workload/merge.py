@@ -80,6 +80,13 @@ class StreamProgram(Program):
         # (per-task provenance on 50k-job streams was quadratic).
         self._first_tids = [span.first_tid for span in jobs]
 
+    @property
+    def digest(self) -> bytes:
+        """Not defined: the cluster tier raises a merged program's
+        release times after construction, which a cached digest would
+        not see. Only per-job programs are keyed structurally."""
+        raise TypeError("a merged StreamProgram has no structural digest")
+
     def span_of_tid(self, tid: int) -> JobSpan:
         """The job span owning task ``tid``."""
         i = bisect_right(self._first_tids, tid) - 1

@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.result import ControlResult
     from repro.platform.machines import MachineModel
     from repro.runtime.engine import SimResult
+    from repro.runtime.perfmodel import PerfModel
     from repro.runtime.stf import Program
     from repro.schedulers.base import Scheduler
     from repro.workload.merge import StreamProgram
@@ -186,6 +187,27 @@ def _isolated_makespan(
     return _build_simulator(cfg, machine, scheduler).run(program).makespan
 
 
+def program_key(
+    program: "Program", scheduler: "Scheduler | str", perfmodel: "PerfModel | None"
+) -> bytes | int:
+    """Cache key for a result that runs ``program`` alone.
+
+    The structural :attr:`~repro.runtime.stf.Program.digest` when such a
+    run is a pure function of the program's structure: the scheduler is
+    a registry name (a fresh instance per run) and the perf model
+    promises ``stable_estimates`` (``None`` stands for the machine's
+    analytical model). Otherwise ``id(program)``: a scheduler instance
+    or a learning :class:`~repro.runtime.perfmodel.HistoryPerfModel`
+    carries state from one run into the next, so each program object
+    keeps its own run.
+    """
+    if isinstance(scheduler, str) and (
+        perfmodel is None or getattr(perfmodel, "stable_estimates", False)
+    ):
+        return program.digest
+    return id(program)
+
+
 def isolated_makespans(
     placed: list[tuple[int, str, "MachineModel", "Program"]],
     scheduler: "Scheduler | str",
@@ -196,19 +218,22 @@ def isolated_makespans(
 ) -> dict[int, float]:
     """Isolated makespan of every ``(jid, node, machine, program)`` job.
 
-    One baseline runs per distinct (node, program object), in
+    One baseline runs per distinct ``(node, program_key(...))``, in
     first-seen order, through :func:`repro.sweep.run_tasks` (``jobs``
     and ``progress`` as there); jobs sharing both share its makespan.
+    With a registry-name scheduler and a stable perf model that is one
+    run per job shape per node, not one per job.
     """
-    cells: dict[tuple[str, int], CallSpec] = {}
-    for _, node, machine, program in placed:
-        if (node, id(program)) not in cells:
-            cells[node, id(program)] = CallSpec(
-                _isolated_makespan, (machine, program, scheduler, cfg)
-            )
+    cells: dict[tuple[str, bytes | int], CallSpec] = {}
+    keys: list[tuple[int, tuple[str, bytes | int]]] = []
+    for jid, node, machine, program in placed:
+        key = (node, program_key(program, scheduler, cfg.perfmodel))
+        keys.append((jid, key))
+        if key not in cells:
+            cells[key] = CallSpec(_isolated_makespan, (machine, program, scheduler, cfg))
     makespans = run_tasks(list(cells.values()), jobs=jobs, progress=progress)
     by_key = dict(zip(cells, makespans))
-    return {jid: by_key[node, id(program)] for jid, node, _, program in placed}
+    return {jid: by_key[key] for jid, key in keys}
 
 
 class JobAggregates:

@@ -6,6 +6,7 @@ from repro.apps.dense import cholesky_program
 from repro.check.differential import (
     CheckOutcome,
     builtin_apps,
+    check_isolated_dedup,
     check_power_noop_equivalence,
     check_window_equivalence,
     fingerprint,
@@ -93,6 +94,8 @@ class TestSuite:
             "rt.overhead_noop", "rt.resources_noop", "rt.deadline_noop",
             "power.noop_ladder", "power.noop_metering",
             "power.metering_joules",
+            "isolated.dedup_stream", "isolated.dedup_cluster",
+            "isolated.dedup_distinct",
         }
 
     def test_progress_callback_sees_everything(self):
@@ -131,6 +134,23 @@ class TestPowerNoopEquivalence:
             "power.noop_ladder[multiprio]",
             "power.noop_metering[multiprio]",
             "power.metering_joules[multiprio]",
+        ]
+        failed = [o for o in outcomes if not o.passed]
+        assert not failed, "\n".join(str(o) for o in failed)
+
+
+class TestIsolatedDedup:
+    def test_one_baseline_per_shape_equals_one_run_per_job(self):
+        """Per-job isolated makespans from the deduplicated stream and
+        cluster paths must equal direct per-job runs bit for bit, and a
+        one-handle size change must keep its own baseline."""
+        outcomes = check_isolated_dedup(
+            small_hetero(n_cpus=2, n_gpus=1), schedulers=("multiprio", "dmdas")
+        )
+        assert [o.name for o in outcomes] == [
+            f"isolated.dedup_{kind}[{sched}]"
+            for sched in ("multiprio", "dmdas")
+            for kind in ("stream", "cluster", "distinct")
         ]
         failed = [o for o in outcomes if not o.passed]
         assert not failed, "\n".join(str(o) for o in failed)
